@@ -73,6 +73,9 @@ let shutdown_session sess =
 
 (* ---- replies ---- *)
 
+let typed_err e =
+  Protocol.Err { kind = Avq_error.kind_label e; detail = Avq_error.to_string e }
+
 (* A reply larger than the wire's frame cap must not fail opaquely (the old
    behavior: [write_frame] raised, the handler tore the connection down).
    [write_frame] checks the size before writing any bytes, so the stream is
@@ -102,15 +105,11 @@ let send t sess reply =
 let tag_reply ?(source = "tag") ~ms body =
   Protocol.Result { source; rows = 0; ms; body }
 
+(* Every statement failure arrives typed; anything else is an engine bug. *)
 let error_reply e =
   match Avq_error.of_exn e with
-  | Some t ->
-    Protocol.Err { kind = Avq_error.kind_label t; detail = Avq_error.to_string t }
-  | None -> (
-    match Replay.describe_error e with
-    | detail -> Protocol.Err { kind = "bad-statement"; detail }
-    | exception _ ->
-      Protocol.Err { kind = "internal"; detail = Printexc.to_string e })
+  | Some t -> typed_err t
+  | None -> Protocol.Err { kind = "internal"; detail = Printexc.to_string e }
 
 exception Disconnected
 
@@ -120,24 +119,23 @@ exception Disconnected
    session.  Rejections are typed and counted in the service's error
    metrics so [avq_errors_total{kind=...}] covers them too. *)
 
+let reject t e =
+  Atomic.incr t.rejected_n;
+  Service.record_error t.svc e;
+  typed_err e
+
+let draining t = Atomic.get t.stopping || Lifecycle.draining ()
+
 let try_admit t =
-  if Atomic.get t.stopping || Lifecycle.draining () then (
-    Atomic.incr t.rejected_n;
-    let e = Avq_error.Unavailable "server is draining" in
-    Service.record_error t.svc e;
-    Error (Protocol.Err { kind = Avq_error.kind_label e; detail = Avq_error.to_string e }))
+  if draining t then Error (reject t (Avq_error.Unavailable "server is draining"))
   else
     let n = Atomic.fetch_and_add t.in_flight_n 1 in
     if n >= t.cfg.max_queue then (
       ignore (Atomic.fetch_and_add t.in_flight_n (-1));
-      Atomic.incr t.rejected_n;
-      let e =
-        Avq_error.Resource_exceeded
-          { resource = "admission-queue"; limit = t.cfg.max_queue; used = n + 1 }
-      in
-      Service.record_error t.svc e;
       Error
-        (Protocol.Err { kind = Avq_error.kind_label e; detail = Avq_error.to_string e }))
+        (reject t
+           (Avq_error.Resource_exceeded
+              { resource = "admission-queue"; limit = t.cfg.max_queue; used = n + 1 })))
     else (
       Atomic.incr t.admitted_n;
       Ok ())
@@ -198,15 +196,21 @@ let set_limit limits name value =
 
 (* ---- statement execution ---- *)
 
-let result_of_execution (planned, rel, _io) ms =
-  Protocol.Result
-    {
-      source = Service.source_label planned.Service.source;
-      rows = Relation.cardinality rel;
-      ms;
-      body = Format.asprintf "%a" Relation.pp rel;
-    }
+let reply_of ~ms = function
+  | Replay.Executed (planned, rel) ->
+    Protocol.Result
+      {
+        source = Service.source_label planned.Service.source;
+        rows = Relation.cardinality rel;
+        ms;
+        body = Format.asprintf "%a" Relation.pp rel;
+      }
+  | Replay.Rendered body -> tag_reply ~source:"text" ~ms body
+  | Replay.Completed tag -> tag_reply ~ms tag
+  | Replay.Failed { kind; detail } -> Protocol.Err { kind; detail }
 
+(* [ms] spans admission until the work is done; the reply is rendered
+   while the admission slot is still held. *)
 let run_admitted t work =
   match try_admit t with
   | Error reply -> reply
@@ -214,55 +218,34 @@ let run_admitted t work =
     Fun.protect ~finally:(fun () -> finish t) (fun () ->
         let t0 = Unix.gettimeofday () in
         match work () with
-        | reply -> reply ((Unix.gettimeofday () -. t0) *. 1000.)
+        | outcome -> reply_of ~ms:((Unix.gettimeofday () -. t0) *. 1000.) outcome
         | exception Disconnected -> raise Disconnected
         | exception e -> error_reply e)
 
+let await_job sess fut =
+  wait_future sess fut;
+  Service.Pool.await fut
+
+(* Read-only directives answer outside admission control; every statement
+   is admitted, and plain queries run on the pool. *)
 let exec_query t sess sql =
-  match Replay.classify sql with
-  | Replay.Directive_metrics fmt ->
-    tag_reply ~source:"text" ~ms:0. (Replay.run_metrics t.svc fmt)
-  | Replay.Directive_stats kind ->
-    tag_reply ~source:"text" ~ms:0. (Replay.run_stats t.svc kind)
-  | Replay.Directive_matviews ->
-    tag_reply ~source:"text" ~ms:0. (Service.render_matviews t.svc)
-  | Replay.Explain_analyze inner ->
-    run_admitted t (fun () ->
-        match Replay.run_explain_analyze t.svc inner with
-        | rendered -> fun ms -> tag_reply ~source:"text" ~ms rendered
-        | exception Replay.Analysis_failed (e, partial) ->
-          fun _ms ->
-            (match error_reply e with
-            | Protocol.Err { kind; detail } ->
-              Protocol.Err { kind; detail = detail ^ "\n" ^ partial }
-            | r -> r))
-  | Replay.Directive_checkpoint ->
-    run_admitted t (fun () ->
-        let tag = Service.checkpoint t.svc in
-        fun ms -> tag_reply ~ms tag)
-  | Replay.Update stmt ->
-    run_admitted t (fun () ->
-        let tag = Service.exec_statement t.svc stmt in
-        fun ms -> tag_reply ~ms tag)
-  | Replay.Plain stmt ->
-    run_admitted t (fun () ->
-        let fut = Service.Pool.submit_sql ~limits:sess.limits t.pool stmt in
-        wait_future sess fut;
-        let res = Service.Pool.await fut in
-        fun ms -> result_of_execution res ms)
+  Replay.dispatch ~limits:sess.limits t.svc (Replay.classify sql)
+    ~query:(fun q () ->
+      await_job sess (Service.Pool.submit_sql ~limits:sess.limits t.pool q))
+    ~run:(function
+      | `Directive -> fun work -> reply_of ~ms:0. (work ())
+      | `Barrier | `Query -> run_admitted t)
 
 let exec_prepared t sess name params =
   match Hashtbl.find_opt sess.prepared name with
-  | None ->
-    error_reply
-      (Avq_error.Error (Avq_error.Bad_statement ("no prepared statement " ^ name)))
+  | None -> typed_err (Avq_error.Bad_statement ("no prepared statement " ^ name))
   | Some stmt ->
     run_admitted t (fun () ->
         let params = if params = [] then None else Some params in
-        let fut = Service.Pool.submit ?params ~limits:sess.limits t.pool stmt in
-        wait_future sess fut;
-        let res = Service.Pool.await fut in
-        fun ms -> result_of_execution res ms)
+        let planned, rel, _io =
+          await_job sess (Service.Pool.submit ?params ~limits:sess.limits t.pool stmt)
+        in
+        Replay.Executed (planned, rel))
 
 let handle_request t sess req =
   match req with
@@ -311,35 +294,20 @@ let handler t sess =
 
 let accept_one t =
   let fd, _addr = Unix.accept ~cloexec:true t.listen_fd in
-  if Atomic.get t.stopping || Lifecycle.draining () then (
-    Atomic.incr t.rejected_n;
-    let e = Avq_error.Unavailable "server is draining" in
-    Service.record_error t.svc e;
-    (try
-       Wire.write_frame fd
-         (Protocol.encode_reply
-            (Protocol.Err
-               { kind = Avq_error.kind_label e; detail = Avq_error.to_string e }))
-     with _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ())
-  else if connections t >= t.cfg.max_connections then (
-    Atomic.incr t.rejected_n;
-    let e =
-      Avq_error.Resource_exceeded
-        {
-          resource = "connections";
-          limit = t.cfg.max_connections;
-          used = connections t + 1;
-        }
-    in
-    Service.record_error t.svc e;
-    (try
-       Wire.write_frame fd
-         (Protocol.encode_reply
-            (Protocol.Err
-               { kind = Avq_error.kind_label e; detail = Avq_error.to_string e }))
-     with _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ())
+  let refuse e =
+    (try Wire.write_frame fd (Protocol.encode_reply (reject t e)) with _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  if draining t then
+    refuse (Avq_error.Unavailable "server is draining")
+  else if connections t >= t.cfg.max_connections then
+    refuse
+      (Avq_error.Resource_exceeded
+         {
+           resource = "connections";
+           limit = t.cfg.max_connections;
+           used = connections t + 1;
+         })
   else begin
     let id = Atomic.fetch_and_add t.next_id 1 in
     let sess =
@@ -484,7 +452,7 @@ let stop t =
 
 let run t =
   let wake = Lifecycle.wake_fd () in
-  while not (Lifecycle.draining () || Atomic.get t.stopping) do
+  while not (draining t) do
     (match Unix.select [ wake ] [] [] 0.5 with
     | [ _ ], _, _ -> Lifecycle.drain_wake ()
     | _ -> ()

@@ -29,21 +29,6 @@ let split_statements text =
   flush ();
   List.rev !out
 
-type outcome =
-  | Executed of Service.planned * int
-  | Rendered of string
-  | Failed of string
-
-type line = { index : int; sql : string; outcome : outcome }
-
-let describe_error = function
-  | Avq_error.Error e -> Avq_error.to_string e
-  | Binder.Bind_error msg -> "bind error: " ^ msg
-  | Parser.Parse_error (msg, off) ->
-    Printf.sprintf "parse error at %d: %s" off msg
-  | Lexer.Lex_error (msg, off) -> Printf.sprintf "lex error at %d: %s" off msg
-  | e -> raise e
-
 (* Session directives and statement modifiers, classified before execution.
    [\metrics] dumps the registry; an [EXPLAIN ANALYZE] prefix runs the rest
    of the statement under profiling and renders the annotated tree. *)
@@ -125,108 +110,100 @@ let run_stats svc = function
       (Stmt_stats.top ~n:20 st);
     Buffer.contents buf
 
-(* A failed EXPLAIN ANALYZE still has a (partial) rendered tree worth
-   showing next to the error. *)
-exception Analysis_failed of exn * string
+type outcome =
+  | Executed of Service.planned * Relation.t
+  | Rendered of string
+  | Completed of string
+  | Failed of { kind : string; detail : string }
 
-let run_explain_analyze svc sql =
-  let stmt = Service.prepare svc sql in
-  let p, res, report = Service.explain_analyze svc stmt in
-  let body = Format.asprintf "%a" (Service.pp_analysis svc) (p, report) in
-  match res with
-  | Ok _ -> body
-  | Error e -> raise_notrace (Analysis_failed (e, body))
+type line = { index : int; sql : string; outcome : outcome }
 
-let run_update svc sql =
-  match Service.exec_statement svc sql with
-  | tag -> Rendered tag
-  | exception e -> Failed (describe_error e)
+let failed ?(report = "") e =
+  Failed
+    {
+      kind = Avq_error.kind_label e;
+      detail =
+        (if report = "" then Avq_error.to_string e
+         else Avq_error.to_string e ^ "\n" ^ report);
+    }
 
-(* One statement, synchronously on the service. *)
-let run_one svc sql =
-  match classify sql with
-  | Directive_metrics kind -> Rendered (run_metrics svc kind)
-  | Directive_stats kind -> Rendered (run_stats svc kind)
-  | Directive_matviews -> Rendered (Service.render_matviews svc)
-  | Directive_checkpoint -> Rendered (Service.checkpoint svc)
-  | Explain_analyze rest -> (
-    match run_explain_analyze svc rest with
-    | body -> Rendered body
-    | exception Analysis_failed (e, body) ->
-      Failed (describe_error e ^ "\n" ^ body)
-    | exception e -> Failed (describe_error e))
-  | Update sql -> run_update svc sql
-  | Plain sql -> (
-    match Service.submit svc sql with
-    | p, rel, _io -> Executed (p, Relation.cardinality rel)
-    | exception e -> Failed (describe_error e))
+(* The service types every statement failure; anything untyped is an
+   engine bug and propagates. *)
+let guard f = try f () with Avq_error.Error e -> failed e
+
+let dispatch ?(limits = Service.no_limits) ~query ~run svc = function
+  | Directive_metrics kind ->
+    run `Directive (fun () -> Rendered (run_metrics svc kind))
+  | Directive_stats kind ->
+    run `Directive (fun () -> Rendered (run_stats svc kind))
+  | Directive_matviews ->
+    run `Directive (fun () -> Rendered (Service.render_matviews svc))
+  | Directive_checkpoint ->
+    run `Barrier (fun () -> Completed (Service.checkpoint svc))
+  | Explain_analyze sql ->
+    run `Barrier (fun () ->
+        guard (fun () ->
+            match Service.explain_analyze_sql ~limits svc sql with
+            | Ok body -> Rendered body
+            | Error (e, report) -> failed ~report e))
+  | Update sql ->
+    run `Barrier (fun () ->
+        guard (fun () -> Completed (Service.exec_statement svc sql)))
+  | Plain sql ->
+    let await = query sql in
+    run `Query (fun () ->
+        guard (fun () ->
+            let p, rel, _io = await () in
+            Executed (p, rel)))
 
 (* A lifecycle drain (Ctrl-C / SIGTERM) stops the replay between
    statements: already-executed lines keep their outcomes, the rest are
    never started.  In-flight work is stopped by the lifecycle abort flag
    through the executor's own poll points, not from here. *)
 let replay svc text =
+  let run_one sql =
+    dispatch svc (classify sql)
+      ~query:(fun q () -> Service.submit svc q)
+      ~run:(fun _ f -> f ())
+  in
   let rec go i acc = function
     | [] -> List.rev acc
     | _ :: _ when Lifecycle.draining () -> List.rev acc
     | sql :: rest ->
-      go (i + 1) ({ index = i; sql; outcome = run_one svc sql } :: acc) rest
+      go (i + 1) ({ index = i; sql; outcome = run_one sql } :: acc) rest
   in
   go 1 [] (split_statements text)
 
-(* Pool replay: runs of consecutive read-only statements are submitted to
-   the pool up front, then awaited in order — the report stays
-   deterministic per-line while execution itself is concurrent.  Updates
-   (INSERT, MATERIALIZED VIEW DDL) are barriers: an update runs alone,
-   after every earlier statement has completed and before any later one is
-   submitted, so concurrent readers never race a catalog mutation and every
-   statement sees a well-defined database state.  Directives and EXPLAIN
-   ANALYZE run synchronously at their position in the await sequence, so a
-   [\metrics] line observes every earlier statement's effect (later ones in
-   the same run may still be in flight on the workers). *)
+(* Pool replay: runs of consecutive plain queries are submitted to the pool
+   up front, then awaited in order — the report stays deterministic
+   per-line while execution itself is concurrent.  Every other statement
+   is a barrier: it runs alone, after every earlier statement has
+   completed and before any later one is submitted, so concurrent readers
+   never race a catalog mutation and a [\metrics] line observes exactly
+   the statements before it. *)
 let replay_pool pool text =
   let svc = Service.Pool.service pool in
   let results = ref [] in
   let pending = ref [] in
-  let await_outcome = function
-    | `Fut fut -> (
-      match Service.Pool.await fut with
-      | p, rel, _io -> Executed (p, Relation.cardinality rel)
-      | exception e -> Failed (describe_error e))
-    | `Sync (Directive_metrics kind) -> Rendered (run_metrics svc kind)
-    | `Sync (Directive_stats kind) -> Rendered (run_stats svc kind)
-    | `Sync Directive_matviews -> Rendered (Service.render_matviews svc)
-    | `Sync (Explain_analyze rest) -> (
-      match run_explain_analyze svc rest with
-      | body -> Rendered body
-      | exception Analysis_failed (e, body) ->
-        Failed (describe_error e ^ "\n" ^ body)
-      | exception e -> Failed (describe_error e))
-    | `Sync (Plain _ | Update _ | Directive_checkpoint) -> assert false
-  in
   let flush () =
     List.iter
-      (fun (sql, job) -> results := (sql, await_outcome job) :: !results)
+      (fun (sql, await) -> results := (sql, await ()) :: !results)
       (List.rev !pending);
     pending := []
   in
   List.iter
     (fun sql ->
       if not (Lifecycle.draining ()) then
-        match classify sql with
-        | Update u ->
-          flush ();
-          results := (sql, run_update svc u) :: !results
-        (* A checkpoint snapshots the catalog and truncates the WAL — run it
-           as a barrier too, with no statement in flight. *)
-        | Directive_checkpoint ->
-          flush ();
-          results := (sql, Rendered (Service.checkpoint svc)) :: !results
-        | Plain p ->
-          pending := (sql, `Fut (Service.Pool.submit_sql pool p)) :: !pending
-        | (Directive_metrics _ | Directive_stats _ | Directive_matviews
-          | Explain_analyze _) as c ->
-          pending := (sql, `Sync c) :: !pending)
+        dispatch svc (classify sql)
+          ~query:(fun q ->
+            let fut = Service.Pool.submit_sql pool q in
+            fun () -> Service.Pool.await fut)
+          ~run:(fun schedule f ->
+            match schedule with
+            | `Query -> pending := (sql, f) :: !pending
+            | `Directive | `Barrier ->
+              flush ();
+              results := (sql, f ()) :: !results))
     (split_statements text);
   flush ();
   List.mapi
@@ -242,7 +219,7 @@ let report fmt svc lines =
   List.iter
     (fun l ->
       match l.outcome with
-      | Executed (p, rows) ->
+      | Executed (p, rel) ->
         let mv =
           match Matview.rewritten_view p.Service.rewrite with
           | Some v -> Printf.sprintf "  [mv:%s]" v
@@ -251,11 +228,13 @@ let report fmt svc lines =
         Format.fprintf fmt "[%3d] %-15s %6d rows  est %10.1f  %6.2f ms  %s%s@."
           l.index
           (Service.source_label p.Service.source)
-          rows p.Service.est.Cost_model.cost p.Service.plan_ms
+          (Relation.cardinality rel) p.Service.est.Cost_model.cost
+          p.Service.plan_ms
           (first_line l.sql) mv
-      | Rendered body ->
+      | Rendered body | Completed body ->
         Format.fprintf fmt "[%3d] %s@.%s@." l.index (first_line l.sql) body
-      | Failed msg ->
-        Format.fprintf fmt "[%3d] ERROR %s  %s@." l.index msg (first_line l.sql))
+      | Failed { detail; _ } ->
+        Format.fprintf fmt "[%3d] ERROR %s  %s@." l.index detail
+          (first_line l.sql))
     lines;
   Format.fprintf fmt "@.%a@." Service.pp_stats (Service.stats svc)

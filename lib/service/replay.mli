@@ -39,30 +39,42 @@ type classified =
 
 val classify : string -> classified
 
-val describe_error : exn -> string
-(** One-line rendering of a typed / binder / parser / lexer failure.
-    Re-raises anything it cannot soundly describe. *)
-
 val run_metrics : Service.t -> [ `Json | `Prometheus ] -> string
 
 val run_stats : Service.t -> [ `Show | `Reset ] -> string
 (** Render the top tracked statements as an aligned table, or reset the
     store and report that. *)
 
-exception Analysis_failed of exn * string
-(** A failed [EXPLAIN ANALYZE] still carries its partial annotated tree. *)
-
-val run_explain_analyze : Service.t -> string -> string
-(** @raise Analysis_failed with the (partial) rendered tree on failure. *)
-
 type outcome =
-  | Executed of Service.planned * int
-      (** planned + result row count of a plain statement *)
+  | Executed of Service.planned * Relation.t
+      (** planned + result of a plain statement *)
   | Rendered of string
-      (** output of a [\metrics] directive or an [EXPLAIN ANALYZE] *)
-  | Failed of string  (** bind/parse/typed-execution error message *)
+      (** output of a directive or an [EXPLAIN ANALYZE] *)
+  | Completed of string
+      (** completion tag of a write or [\checkpoint] *)
+  | Failed of { kind : string; detail : string }
+      (** a typed failure: {!Avq_error.kind_label} and
+          {!Avq_error.to_string}, followed by the partial report of a failed
+          [EXPLAIN ANALYZE] *)
 
 type line = { index : int; sql : string; outcome : outcome }
+
+val dispatch :
+  ?limits:Service.session_limits ->
+  query:(string -> unit -> Service.planned * Relation.t * Buffer_pool.stats) ->
+  run:([ `Directive | `Barrier | `Query ] -> (unit -> outcome) -> 'a) ->
+  Service.t ->
+  classified ->
+  'a
+(** The one place a classified statement is executed; {!replay},
+    {!replay_pool} and the network server differ only in the two hooks.
+    [query sql] starts a plain query and returns the function that awaits
+    its result (it is called before [run], so a pool may submit eagerly).
+    [run schedule work] decides when and how [work] runs: [`Directive] is a
+    read-only directive, [`Barrier] a statement that must run alone
+    (writes, [\checkpoint], [EXPLAIN ANALYZE]), [`Query] a plain query.
+    [work] turns typed failures into {!Failed}; untyped exceptions (engine
+    bugs) propagate.  [limits] applies to [EXPLAIN ANALYZE]. *)
 
 val replay : Service.t -> string -> line list
 (** Run every statement in order, executing each against the service's
@@ -72,14 +84,12 @@ val replay : Service.t -> string -> line list
     outcomes, the rest are never started. *)
 
 val replay_pool : Service.Pool.t -> string -> line list
-(** Like {!replay} but through a worker pool: runs of consecutive read-only
-    statements are submitted up front and awaited in order, so the per-line
+(** Like {!replay} but through a worker pool: runs of consecutive plain
+    queries are submitted up front and awaited in order, so the per-line
     report is deterministic while prepare + plan + execute run concurrently
-    on the workers.  Mutating statements are barriers: each runs alone,
-    after all earlier statements completed and before any later one is
-    submitted.  Directives and [EXPLAIN ANALYZE] run synchronously at their
-    await position (a [\metrics] line sees every earlier statement's
-    effect; later statements in the same run may still be in flight). *)
+    on the workers.  Every other statement (writes, directives,
+    [EXPLAIN ANALYZE]) is a barrier: it runs alone, after all earlier
+    statements completed and before any later one is submitted. *)
 
 val report : Format.formatter -> Service.t -> line list -> unit
 (** Human-readable per-statement lines followed by the service's cache

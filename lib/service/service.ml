@@ -6,7 +6,6 @@ type config = {
   max_bytes : int;
   recost_ratio : float;
   cache_enabled : bool;
-  executor : Executor.engine;
   statement_timeout_ms : float option;
   spill_quota_pages : int option;
   dop : int;
@@ -21,7 +20,6 @@ let default_config =
     max_bytes = 4 * 1024 * 1024;
     recost_ratio = 10.0;
     cache_enabled = true;
-    executor = `Batch;
     statement_timeout_ms = None;
     spill_quota_pages = None;
     dop = 1;
@@ -47,20 +45,20 @@ type t = {
   opt_ms_total : Sync.Fsum.t;
   opt_ms_saved : Sync.Fsum.t;
   (* Typed-error tally, one counter per {!Avq_error} kind (see [err_slot]).
-     Bumped by [execute_on] when a statement fails with a typed error; a
-     failed statement still counts one [calls], so
+     Bumped by [finish] when a statement fails with a typed error (and by
+     the network front end for admission rejections).  Planning counts one
+     [calls] whether or not execution later fails, so
      hits + rebinds + misses + recost_fallbacks + rebind_conflicts +
-     uncached = calls holds with or without failures (errors strike during
-     execution, after the planning source was decided). *)
+     uncached = calls holds with or without failures. *)
   errs : Sync.Counter.t array;
   (* Observability: the registry aggregates every counter family this
      service touches (buffer pool, plan cache, errors, statements, pool);
      the tracer, when set, receives one span tree per executed statement. *)
   metrics : Metrics.t;
-  (* Per-fingerprint cumulative statement statistics (always on): every
-     statement path — execute_on, exec_statement, explain_analyze — records
-     exactly one observation per [statements] increment, so the sum of
-     [Stats] calls tracks [avq_statements_total] while nothing is evicted. *)
+  (* Per-fingerprint cumulative statement statistics (always on): [finish]
+     records exactly one observation per [statements] increment, so the sum
+     of [Stats] calls tracks [avq_statements_total] while nothing is
+     evicted. *)
   stats : Stmt_stats.t;
   mutable tracer : Trace.tracer option;
   statements : Metrics.Counter.t;
@@ -77,7 +75,10 @@ type t = {
   mutable checkpoints_done : int;
 }
 
-let n_err_kinds = 7
+(* [avq_errors_total] kind labels, indexed by [err_slot]. *)
+let err_kinds =
+  [| "io_fault"; "corruption"; "resource_exceeded"; "timeout"; "cancelled";
+     "bad_statement"; "unavailable" |]
 
 let err_slot : Avq_error.t -> int = function
   | Avq_error.Io_fault _ -> 0
@@ -87,15 +88,6 @@ let err_slot : Avq_error.t -> int = function
   | Avq_error.Cancelled -> 4
   | Avq_error.Bad_statement _ -> 5
   | Avq_error.Unavailable _ -> 6
-
-let err_kind_label = function
-  | 0 -> "io_fault"
-  | 1 -> "corruption"
-  | 2 -> "resource_exceeded"
-  | 3 -> "timeout"
-  | 4 -> "cancelled"
-  | 5 -> "bad_statement"
-  | _ -> "unavailable"
 
 let record_error t e = Sync.Counter.incr t.errs.(err_slot e)
 
@@ -187,7 +179,7 @@ let register_metrics t =
   for i = 0 to Array.length t.errs - 1 do
     Metrics.fn_counter m "avq_errors_total"
       ~help:"Failed statements by typed-error kind"
-      ~labels:[ ("kind", err_kind_label i) ]
+      ~labels:[ ("kind", err_kinds.(i)) ]
       (fi (fun () -> Sync.Counter.get t.errs.(i)))
   done;
   Metrics.fn_counter m "avq_slow_statements_total"
@@ -224,7 +216,7 @@ let create ?(config = default_config) ?mviews cat =
       stale_hits = Sync.Counter.create ();
       opt_ms_total = Sync.Fsum.create ();
       opt_ms_saved = Sync.Fsum.create ();
-      errs = Array.init n_err_kinds (fun _ -> Sync.Counter.create ());
+      errs = Array.map (fun _ -> Sync.Counter.create ()) err_kinds;
       metrics;
       stats = Stmt_stats.create ();
       tracer = None;
@@ -233,7 +225,8 @@ let create ?(config = default_config) ?mviews cat =
           ~help:"Statements executed (successful or not)";
       stmt_ms =
         Metrics.histogram metrics "avq_statement_ms"
-          ~help:"Successful statement latency, planning + execution (ms)"
+          ~help:"Successful statement latency after prepare: plan + \
+                 execute for queries, apply for writes (ms)"
           ~buckets:Metrics.Histogram.latency_ms_buckets;
       stmt_io =
         Metrics.histogram metrics "avq_statement_io_pages"
@@ -385,18 +378,31 @@ let make_stmt ~parse_ms query =
 
 let prepare_query _t query = make_stmt ~parse_ms:0. query
 
+(* The one place a statement's failure becomes a typed error, wrapped
+   around the prepare stage (and a write's apply stage): lex, parse and
+   bind errors and rejected view definitions are the statement's fault.
+   Later stages fail typed already (limits, storage faults); anything else
+   is an engine bug and stays untyped. *)
+let typed f =
+  let bad m = Avq_error.error (Avq_error.Bad_statement m) in
+  try f () with
+  | Binder.Bind_error m -> bad ("bind: " ^ m)
+  | Parser.Parse_error (m, off) -> bad (Printf.sprintf "parse at %d: %s" off m)
+  | Lexer.Lex_error (m, off) -> bad (Printf.sprintf "lex at %d: %s" off m)
+  | Matview.Error m | Invalid_argument m -> bad m
+
 let prepare t sql =
-  let t0 = Unix.gettimeofday () in
-  (* Queries over the system views read a snapshot taken just before they
-     are bound: re-materialize under the statement lock, then bind against
-     the refreshed catalog.  The textual trigger over-approximates, which
-     only costs an unneeded refresh. *)
-  if Sysview.references_system_view sql then
-    Sync.protect t.lock (fun () ->
-        Sysview.refresh t.cat ~stats:t.stats ~mviews:t.mviews);
-  let query = Binder.bind_sql t.cat sql in
-  let parse_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  make_stmt ~parse_ms query
+  typed (fun () ->
+      let t0 = Unix.gettimeofday () in
+      (* Queries over the system views read a snapshot taken just before
+         they are bound: re-materialize under the statement lock, then bind
+         against the refreshed catalog.  The textual trigger
+         over-approximates, which only costs an unneeded refresh. *)
+      if Sysview.references_system_view sql then
+        Sync.protect t.lock (fun () ->
+            Sysview.refresh t.cat ~stats:t.stats ~mviews:t.mviews);
+      let query = Binder.bind_sql t.cat sql in
+      make_stmt ~parse_ms:((Unix.gettimeofday () -. t0) *. 1000.) query)
 
 let stmt_fingerprint s = Fingerprint.to_hex s.fp
 let stmt_params s = s.base_params
@@ -477,103 +483,84 @@ let optimize_and_cache ~work_mem ~dop t stmt ps query source =
           entry_bytes ~key ~template:stmt.template ~plan:r.Optimizer.plan
             ~params:ps;
       };
-  (r.Optimizer.plan, r.Optimizer.est, source, r.Optimizer.time_ms,
-   r.Optimizer.search, decision)
+  { plan = r.Optimizer.plan; est = r.Optimizer.est; source;
+    opt_ms = r.Optimizer.time_ms; plan_ms = 0.; search = r.Optimizer.search;
+    rewrite = decision }
+
+(* A plan served from the cache entry [e]. *)
+let served t (e : Plan_cache.entry) ~plan ~est source rewrite =
+  Sync.Fsum.add t.opt_ms_saved e.Plan_cache.opt_ms;
+  { plan; est; source; opt_ms = 0.; plan_ms = 0.; search = e.Plan_cache.search;
+    rewrite }
 
 let plan ?params ?(limits = no_limits) t stmt =
   let t0 = Unix.gettimeofday () in
   let work_mem = Option.value ~default:t.cfg.work_mem limits.sl_work_mem in
   let dop = Option.value ~default:t.cfg.dop limits.sl_dop in
-  let optimize_and_cache = optimize_and_cache ~work_mem ~dop in
   let ps = Option.value ~default:stmt.base_params params in
   if List.length ps <> List.length stmt.base_params then
     invalid_arg "Service.plan: wrong number of parameters";
   let same_params = params_equal ps stmt.base_params in
   let query = if same_params then stmt.squery else Canon.substitute stmt.squery ps in
+  let optimize counter source =
+    Option.iter Sync.Counter.incr counter;
+    optimize_and_cache ~work_mem ~dop t stmt ps query source
+  in
+  let miss () = optimize (Some t.misses) Miss in
   Sync.Counter.incr t.calls;
   (* One critical section per call.  Holding the lock across the optimizer
      run serializes misses, which is exactly the pay-once semantics we want:
      a second worker racing on the same key blocks, then finds the entry and
      hits.  Cache-hit sections are microseconds. *)
-  let plan, est, source, opt_ms, search, rewrite =
+  let p =
     Sync.protect t.lock (fun () ->
-        if not t.cfg.cache_enabled then
-          optimize_and_cache t stmt ps query Uncached
-        else begin
-          let epoch = Catalog.epoch t.cat in
+        let epoch = Catalog.epoch t.cat in
+        if not t.cfg.cache_enabled then optimize None Uncached
+        else
           match Plan_cache.find t.cache (cache_key ~work_mem ~dop t stmt) ~epoch with
-          | None ->
-            Sync.Counter.incr t.misses;
-            optimize_and_cache t stmt ps query Miss
+          | None -> miss ()
           | Some entry
             when not (String.equal entry.Plan_cache.template stmt.template) ->
             (* 64-bit fingerprint collision: a different template landed on
                our key.  Treat as a miss (re-optimizing overwrites the
                entry); the colliding templates may thrash but can never
                serve each other's plans. *)
-            Sync.Counter.incr t.misses;
-            optimize_and_cache t stmt ps query Miss
-          | Some entry ->
-            if entry.Plan_cache.epoch <> epoch then begin
-              (* unreachable: [find] filters stale epochs; belt and
-                 suspenders so a stale plan can never be served silently. *)
-              Sync.Counter.incr t.stale_hits;
-              Sync.Counter.incr t.misses;
-              optimize_and_cache t stmt ps query Miss
-            end
-            else if params_equal ps entry.Plan_cache.params then begin
-              Sync.Counter.incr t.hits;
-              Sync.Fsum.add t.opt_ms_saved entry.Plan_cache.opt_ms;
-              (entry.Plan_cache.plan, entry.Plan_cache.est, Hit, 0.,
-               entry.Plan_cache.search,
-               Matview.From_cache entry.Plan_cache.mv)
-            end
-            else if entry.Plan_cache.mv <> None then begin
-              (* A view-rewritten plan folded the view's covered predicates
-                 into the extent's contents; re-binding it to different
-                 parameters would silently answer the wrong query.  Always
-                 re-optimize for new parameters instead. *)
-              Sync.Counter.incr t.misses;
-              optimize_and_cache t stmt ps query Miss
-            end
-            else begin
-              match
-                Plan_rebind.mapping ~old_params:entry.Plan_cache.params
-                  ~new_params:ps
-              with
-              | None ->
-                Sync.Counter.incr t.rebind_conflicts;
-                optimize_and_cache t stmt ps query Rebind_conflict
-              | Some pairs ->
-                let plan' = Plan_rebind.rebind pairs entry.Plan_cache.plan in
-                let est' = Cost_model.estimate t.cat ~work_mem plan' in
-                if
-                  est'.Cost_model.cost
-                  <= (t.cfg.recost_ratio
-                      *. entry.Plan_cache.est.Cost_model.cost)
-                     +. 1e-6
-                then begin
-                  Sync.Counter.incr t.rebinds;
-                  Sync.Fsum.add t.opt_ms_saved entry.Plan_cache.opt_ms;
-                  (plan', est', Hit_rebound, 0., entry.Plan_cache.search,
-                   Matview.From_cache None)
-                end
-                else begin
-                  Sync.Counter.incr t.recost_fallbacks;
-                  optimize_and_cache t stmt ps query Recost_fallback
-                end
-            end
-        end)
+            miss ()
+          | Some entry when entry.Plan_cache.epoch <> epoch ->
+            (* unreachable: [find] filters stale epochs; belt and suspenders
+               so a stale plan can never be served silently. *)
+            Sync.Counter.incr t.stale_hits;
+            miss ()
+          | Some entry when params_equal ps entry.Plan_cache.params ->
+            Sync.Counter.incr t.hits;
+            served t entry ~plan:entry.Plan_cache.plan ~est:entry.Plan_cache.est
+              Hit (Matview.From_cache entry.Plan_cache.mv)
+          | Some entry when entry.Plan_cache.mv <> None ->
+            (* A view-rewritten plan folded the view's covered predicates
+               into the extent's contents; re-binding it to different
+               parameters would silently answer the wrong query.  Always
+               re-optimize for new parameters instead. *)
+            miss ()
+          | Some entry -> (
+            match
+              Plan_rebind.mapping ~old_params:entry.Plan_cache.params
+                ~new_params:ps
+            with
+            | None -> optimize (Some t.rebind_conflicts) Rebind_conflict
+            | Some pairs ->
+              let plan = Plan_rebind.rebind pairs entry.Plan_cache.plan in
+              let est = Cost_model.estimate t.cat ~work_mem plan in
+              if
+                est.Cost_model.cost
+                <= (t.cfg.recost_ratio *. entry.Plan_cache.est.Cost_model.cost)
+                   +. 1e-6
+              then begin
+                Sync.Counter.incr t.rebinds;
+                served t entry ~plan ~est Hit_rebound (Matview.From_cache None)
+              end
+              else optimize (Some t.recost_fallbacks) Recost_fallback))
   in
-  {
-    plan;
-    est;
-    source;
-    opt_ms;
-    plan_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-    search;
-    rewrite;
-  }
+  { p with plan_ms = (Unix.gettimeofday () -. t0) *. 1000. }
 
 (* Where did the group-by land relative to the joins?  The paper's central
    plan-shape decision, surfaced as a trace attr on every plan span. *)
@@ -637,213 +624,241 @@ let plan_span_attrs t p =
     | Some v -> [ ("matview", Trace.S v) ]
     | None -> [])
 
-let observe_success t ~ms ~io =
-  Metrics.Histogram.observe t.stmt_ms ms;
-  Metrics.Histogram.observe t.stmt_io
-    (float_of_int (io.Buffer_pool.reads + io.Buffer_pool.writes))
+(* ==== the statement pipeline ====
 
-let execute_traced tr ctx ?params ?(limits = no_limits) t stmt =
+   Every statement runs as stages filling one [record]: a query is
+   prepare → plan → execute, a write is prepare → apply (under the service
+   lock).  Stages only take timestamps and store what they produced;
+   [finish] alone turns the record into the statement counter, the
+   latency and IO histograms, the statement statistics, the typed-error
+   tally and — when a tracer is set — the span tree and slow-log line. *)
+
+type input = Sql of string | Prepared of stmt * Value.t list option
+
+type record = {
+  text : string;  (* trimmed statement text, until a template is known *)
+  sid : int option;
+  dop : int;
+  t0 : float;  (* prepare starts *)
+  mutable stmt : stmt option;
+  mutable started : float;  (* plan (query) or apply (write) starts; 0 = not reached *)
+  mutable planned : planned option;
+  mutable exec_t0 : float;  (* execute (query) or apply (write) starts *)
+  mutable exec_ms : float;
+  mutable ctx : Exec_ctx.t option;  (* armed with this statement's limits *)
+  mutable rows : int;
+  mutable io : Buffer_pool.stats;
+  mutable wal_bytes : int;
+  mutable profile : Profile.t option;
+  mutable error : exn option;
+  mutable t1 : float;  (* set by [finish] *)
+}
+
+let new_record ?(limits = no_limits) ~dop text =
+  {
+    text;
+    sid = limits.sl_sid;
+    dop;
+    t0 = Unix.gettimeofday ();
+    stmt = None;
+    started = 0.;
+    planned = None;
+    exec_t0 = 0.;
+    exec_ms = 0.;
+    ctx = None;
+    rows = 0;
+    io = { Buffer_pool.reads = 0; writes = 0; hits = 0 };
+    wal_bytes = 0;
+    profile = None;
+    error = None;
+    t1 = 0.;
+  }
+
+let ms_between a b = (b -. a) *. 1000.
+
+(* The span tree, rebuilt from the record's stage boundaries: statement →
+   parse / canonicalize / plan / view_rewrite / execute (apply, for a
+   write) → op:*.  The root and the stage a failure struck in carry the
+   error status. *)
+let emit_trace t tr r ~fp ~query ~ms =
   let trace_id = Trace.new_trace tr in
-  let root = Trace.start tr ~trace_id "statement" in
-  Trace.set_attr root "fingerprint" (Trace.S (Fingerprint.to_hex stmt.fp));
-  let now = Unix.gettimeofday () in
-  (* Prepare-time work, re-emitted per execution so every trace is
-     self-contained; anchored at the statement start, not when the (possibly
-     long-lived) statement was actually prepared. *)
-  ignore
-    (Trace.emit tr ~trace_id ~parent:(Trace.id root) ~t0:now
-       ~dur_ms:stmt.parse_ms "parse" []);
-  ignore
-    (Trace.emit tr ~trace_id ~parent:(Trace.id root) ~t0:now
-       ~dur_ms:stmt.canon_ms "canonicalize" []);
-  match
-    let p = plan ?params ~limits t stmt in
-    ignore
-      (Trace.emit tr ~trace_id ~parent:(Trace.id root)
-         ~t0:(Unix.gettimeofday () -. (p.plan_ms /. 1000.))
-         ~dur_ms:p.plan_ms "plan" (plan_span_attrs t p));
-    (match p.rewrite with
+  let status last = if last && r.error <> None then "error" else "ok" in
+  let root =
+    Trace.emit tr ~trace_id ~status:(status true) ~t0:r.t0
+      ~dur_ms:(ms_between r.t0 r.t1) "statement"
+      [ ("fingerprint", Trace.S fp) ]
+  in
+  let span ?(last = false) t0 dur_ms name attrs =
+    Trace.emit tr ~trace_id ~parent:root ~status:(status last) ~t0 ~dur_ms name
+      attrs
+  in
+  (* A prepared statement's parse/canonicalize times are re-emitted per
+     execution, anchored at the statement start, so every trace is
+     self-contained. *)
+  (match r.stmt with
+   | Some s ->
+     ignore (span r.t0 s.parse_ms "parse" []);
+     ignore (span (r.t0 +. (s.parse_ms /. 1000.)) s.canon_ms "canonicalize" [])
+   | None ->
+     let until = if r.started > 0. then r.started else r.t1 in
+     ignore (span ~last:(r.started = 0.) r.t0 (ms_between r.t0 until) "parse" []));
+  (match r.planned with
+   | Some p -> (
+     ignore (span r.started p.plan_ms "plan" (plan_span_attrs t p));
+     match p.rewrite with
      | Matview.No_views -> ()
      | d ->
        ignore
-         (Trace.emit tr ~trace_id ~parent:(Trace.id root)
-            ~t0:(Unix.gettimeofday ()) ~dur_ms:0. "view_rewrite"
+         (span (r.started +. (p.plan_ms /. 1000.)) 0. "view_rewrite"
             (("decision", Trace.S (Matview.decision_to_string d))
             :: (match Matview.rewritten_view d with
                | Some v -> [ ("view", Trace.S v) ]
-               | None -> []))));
-    let exec_t0 = Unix.gettimeofday () in
-    let espan = Trace.start tr ~trace_id ~parent:(Trace.id root) "execute" in
-    match
-      Executor.run_profiled_result ~cold:false ~executor:t.cfg.executor ctx
-        p.plan
-    with
-    | Ok (rel, io, prof) ->
-      Trace.set_attr espan "rows" (Trace.I (Relation.cardinality rel));
-      Trace.set_attr espan "reads" (Trace.I io.Buffer_pool.reads);
-      Trace.set_attr espan "writes" (Trace.I io.Buffer_pool.writes);
-      Trace.set_attr espan "hits" (Trace.I io.Buffer_pool.hits);
-      let eid = Trace.id espan in
-      let _edur = Trace.finish espan in
-      List.iter
-        (emit_op_spans tr ~trace_id ~parent:eid ~t0:exec_t0)
-        (Profile.roots prof);
-      (p, rel, io)
-    | Error (e, prof) ->
-      Trace.set_attr espan "partial" (Trace.B true);
-      let eid = Trace.id espan in
-      let _edur = Trace.finish ~status:"error" espan in
-      List.iter
-        (emit_op_spans tr ~trace_id ~parent:eid ~t0:exec_t0)
-        (Profile.roots prof);
-      raise e
-  with
-  | p, rel, io ->
-    let dur = Trace.finish root in
-    Trace.note_slow tr ~fingerprint:(Fingerprint.to_hex stmt.fp)
-      ?sid:limits.sl_sid ~sql:stmt.template ~dur_ms:dur ~trace_id ();
-    observe_success t ~ms:dur ~io;
-    (p, rel, io)
-  | exception e ->
-    let dur = Trace.finish ~status:"error" root in
-    Trace.note_slow tr ~fingerprint:(Fingerprint.to_hex stmt.fp)
-      ?sid:limits.sl_sid ~sql:stmt.template ~dur_ms:dur ~trace_id ();
-    raise e
+               | None -> []))))
+   | None when r.started > 0. && r.exec_t0 = 0. ->
+     ignore (span ~last:true r.started (ms_between r.started r.t1) "plan" [])
+   | None -> ());
+  if r.exec_t0 > 0. then begin
+    let attrs =
+      match r.error, r.planned with
+      | Some _, _ -> [ ("partial", Trace.B true) ]
+      | None, None -> [ ("wal_bytes", Trace.I r.wal_bytes) ]
+      | None, Some _ ->
+        [
+          ("rows", Trace.I r.rows);
+          ("reads", Trace.I r.io.Buffer_pool.reads);
+          ("writes", Trace.I r.io.Buffer_pool.writes);
+          ("hits", Trace.I r.io.Buffer_pool.hits);
+        ]
+    in
+    let eid =
+      span ~last:true r.exec_t0 r.exec_ms
+        (if r.planned = None then "apply" else "execute")
+        attrs
+    in
+    Option.iter
+      (fun prof ->
+        List.iter
+          (emit_op_spans tr ~trace_id ~parent:eid ~t0:r.exec_t0)
+          (Profile.roots prof))
+      r.profile
+  end;
+  Trace.note_slow tr ~fingerprint:fp ?sid:r.sid ~sql:query ~dur_ms:ms ~trace_id
+    ()
 
-(* Plan under the shared lock, execute on the caller's own context —
-   execution (the expensive part) runs outside any lock, and the IO
-   measurement is the delta of the executing domain's tally. *)
-let execute_on ctx ?cancel ?params ?(limits = no_limits) t stmt =
-  (* Session overrides take precedence over the service config; a work_mem
-     override gets its own context (a context's budget is fixed at creation
-     and shared with the cost model through the plan). *)
+(* The only consumer of a finished record.  A statement's latency runs from
+   the end of its prepare stage (a prepared statement skips that stage, so
+   text and prepared executions of one template stay comparable; prepare
+   time is in the trace); a statement that failed to prepare reports the
+   prepare stage. *)
+let finish t r =
+  r.t1 <- Unix.gettimeofday ();
+  if r.error <> None && r.exec_t0 > 0. then r.exec_ms <- ms_between r.exec_t0 r.t1;
+  let ms = ms_between (if r.started > 0. then r.started else r.t0) r.t1 in
+  let fp, query =
+    match r.stmt with
+    | Some s -> (Fingerprint.to_hex s.fp, s.template)
+    | None -> (Fingerprint.to_hex (Fingerprint.of_string r.text), r.text)
+  in
+  let pages = r.io.Buffer_pool.reads + r.io.Buffer_pool.writes in
+  Metrics.Counter.incr t.statements;
+  let error =
+    match r.error with
+    | None ->
+      Metrics.Histogram.observe t.stmt_ms ms;
+      Metrics.Histogram.observe t.stmt_io (float_of_int pages);
+      None
+    | Some (Avq_error.Error e) ->
+      record_error t e;
+      Some err_kinds.(err_slot e)
+    | Some _ -> Some "exception"
+  in
+  let source = Option.map (fun p -> p.source) r.planned in
+  Stmt_stats.record t.stats ~fp ~query ?error ~rows:r.rows ~pages
+    ~spill_bytes:
+      (match r.ctx with Some c -> Exec_ctx.spill_pages c * Page.size | None -> 0)
+    ~cache_hit:(source = Some Hit) ~rebind:(source = Some Hit_rebound)
+    ~mv_hit:
+      (match r.planned with
+       | Some p -> Matview.rewritten_view p.rewrite <> None
+       | None -> false)
+    ~wal_bytes:r.wal_bytes ~dop:r.dop ~ms ();
+  Option.iter (fun tr -> emit_trace t tr r ~fp ~query ~ms) t.tracer
+
+let run_stages t r stages =
+  let outcome =
+    match stages () with
+    | v -> Ok v
+    | exception e ->
+      r.error <- Some e;
+      Error e
+  in
+  finish t r;
+  outcome
+
+let get = function Ok v -> v | Error e -> raise e
+let first o default = match o with Some _ -> o | None -> default
+
+(* Queries: prepare → plan → execute, on the caller's context.  Session
+   overrides take precedence over the service config; a work_mem override
+   gets its own context (a context's budget is fixed at creation and shared
+   with the cost model through the plan).  Limits are armed before
+   planning, so the deadline covers planning + execution and a statement
+   whose token was cancelled before it started never runs.  The profiler
+   runs only when a tracer or EXPLAIN ANALYZE will read its tree. *)
+let run_query ?cancel ?(profile = false) ?(limits = no_limits) ctx t input =
   let ctx =
     match limits.sl_work_mem with
     | Some wm when wm <> Exec_ctx.work_mem ctx ->
       Exec_ctx.create ~work_mem:wm t.cat
     | _ -> ctx
   in
-  let timeout_ms =
-    match limits.sl_timeout_ms with
-    | Some _ as o -> o
-    | None -> t.cfg.statement_timeout_ms
+  let r =
+    new_record ~limits
+      ~dop:(Option.value ~default:t.cfg.dop limits.sl_dop)
+      (match input with Sql sql -> String.trim sql | Prepared _ -> "")
   in
-  let spill_quota =
-    match limits.sl_spill_quota with
-    | Some _ as o -> o
-    | None -> t.cfg.spill_quota_pages
+  let outcome =
+    run_stages t r (fun () ->
+        let stmt, params =
+          match input with
+          | Prepared (s, ps) -> (s, ps)
+          | Sql sql -> (prepare t sql, None)
+        in
+        r.stmt <- Some stmt;
+        Exec_ctx.begin_statement
+          ?timeout_ms:(first limits.sl_timeout_ms t.cfg.statement_timeout_ms)
+          ?spill_quota:(first limits.sl_spill_quota t.cfg.spill_quota_pages)
+          ?cancel ctx;
+        r.ctx <- Some ctx;
+        r.started <- Unix.gettimeofday ();
+        let p = plan ?params ~limits t stmt in
+        r.planned <- Some p;
+        r.exec_t0 <- Unix.gettimeofday ();
+        let rel, io =
+          if profile || t.tracer <> None then begin
+            match Executor.run_profiled_result ~cold:false ctx p.plan with
+            | Ok (rel, io, prof) ->
+              r.profile <- Some prof;
+              (rel, io)
+            | Error (e, prof) ->
+              r.profile <- Some prof;
+              raise e
+          end
+          else Executor.run_measured ~cold:false ctx p.plan
+        in
+        r.exec_ms <- ms_between r.exec_t0 (Unix.gettimeofday ());
+        r.rows <- Relation.cardinality rel;
+        r.io <- io;
+        (p, rel, io))
   in
-  (* The deadline covers planning + execution; limits are (re)armed before
-     planning so a statement submitted after its token was cancelled never
-     runs at all (the executor's initial check fires). *)
-  Exec_ctx.begin_statement ?timeout_ms ?spill_quota ?cancel ctx;
-  Metrics.Counter.incr t.statements;
-  let t0 = Unix.gettimeofday () in
-  let fp = Fingerprint.to_hex stmt.fp in
-  let dop = Option.value ~default:t.cfg.dop limits.sl_dop in
-  match
-    match t.tracer with
-    | Some tr -> execute_traced tr ctx ?params ~limits t stmt
-    | None ->
-      let p = plan ?params ~limits t stmt in
-      let rel, io =
-        Executor.run_measured ~cold:false ~executor:t.cfg.executor ctx p.plan
-      in
-      observe_success t ~ms:((Unix.gettimeofday () -. t0) *. 1000.) ~io;
-      (p, rel, io)
-  with
-  | (p, rel, io) as r ->
-    Stmt_stats.record t.stats ~fp ~query:stmt.template
-      ~rows:(Relation.cardinality rel)
-      ~pages:(io.Buffer_pool.reads + io.Buffer_pool.writes)
-      ~spill_bytes:(Exec_ctx.spill_pages ctx * Page.size)
-      ~cache_hit:(p.source = Hit)
-      ~rebind:(p.source = Hit_rebound)
-      ~mv_hit:(Matview.rewritten_view p.rewrite <> None)
-      ~dop
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ();
-    r
-  | exception e ->
-    let error =
-      match Avq_error.of_exn e with
-      | Some te ->
-        record_error t te;
-        err_kind_label (err_slot te)
-      | None -> "exception"
-    in
-    Stmt_stats.record t.stats ~fp ~query:stmt.template ~error
-      ~spill_bytes:(Exec_ctx.spill_pages ctx * Page.size)
-      ~dop
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ();
-    raise e
+  (outcome, r)
 
-let execute ?params t stmt =
-  let ctx = Exec_ctx.create ~work_mem:t.cfg.work_mem t.cat in
-  execute_on ctx ?params t stmt
+let execute_on ctx ?cancel ?params ?limits t stmt =
+  get (fst (run_query ?cancel ?limits ctx t (Prepared (stmt, params))))
 
-let submit t sql = execute t (prepare t sql)
-
-(* EXPLAIN ANALYZE: plan through the cache like any statement, run under
-   per-operator profiling, zip actuals onto the plan next to the model's
-   estimates.  A failing run still produces the (partial) annotated tree. *)
-let explain_analyze ?params t stmt =
-  let ctx = Exec_ctx.create ~work_mem:t.cfg.work_mem t.cat in
-  Exec_ctx.begin_statement ?timeout_ms:t.cfg.statement_timeout_ms
-    ?spill_quota:t.cfg.spill_quota_pages ctx;
-  Metrics.Counter.incr t.statements;
-  let fp = Fingerprint.to_hex stmt.fp in
-  let p =
-    try plan ?params t stmt
-    with e ->
-      let error =
-        match Avq_error.of_exn e with
-        | Some te ->
-          record_error t te;
-          err_kind_label (err_slot te)
-        | None -> "exception"
-      in
-      Stmt_stats.record t.stats ~fp ~query:stmt.template ~error ~ms:0. ();
-      raise e
-  in
-  let t0 = Unix.gettimeofday () in
-  match
-    Executor.run_profiled_result ~cold:false ~executor:t.cfg.executor ctx
-      p.plan
-  with
-  | Ok (rel, io, prof) ->
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    observe_success t ~ms:(p.plan_ms +. wall_ms) ~io;
-    Stmt_stats.record t.stats ~fp ~query:stmt.template
-      ~rows:(Relation.cardinality rel)
-      ~pages:(io.Buffer_pool.reads + io.Buffer_pool.writes)
-      ~spill_bytes:(Exec_ctx.spill_pages ctx * Page.size)
-      ~cache_hit:(p.source = Hit)
-      ~rebind:(p.source = Hit_rebound)
-      ~mv_hit:(Matview.rewritten_view p.rewrite <> None)
-      ~ms:(p.plan_ms +. wall_ms) ();
-    ( p,
-      Ok rel,
-      Explain_analyze.of_profile t.cat ~work_mem:t.cfg.work_mem p.plan ~io
-        ~wall_ms prof )
-  | Error (e, prof) ->
-    let error =
-      match Avq_error.of_exn e with
-      | Some te ->
-        record_error t te;
-        err_kind_label (err_slot te)
-      | None -> "exception"
-    in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    Stmt_stats.record t.stats ~fp ~query:stmt.template ~error
-      ~spill_bytes:(Exec_ctx.spill_pages ctx * Page.size)
-      ~ms:(p.plan_ms +. wall_ms) ();
-    let io = { Buffer_pool.reads = 0; writes = 0; hits = 0 } in
-    ( p,
-      Error e,
-      Explain_analyze.of_profile t.cat ~work_mem:t.cfg.work_mem p.plan ~io
-        ~wall_ms prof )
+let fresh_ctx t = Exec_ctx.create ~work_mem:t.cfg.work_mem t.cat
+let execute ?params t stmt = execute_on (fresh_ctx t) ?params t stmt
+let submit t sql = get (fst (run_query (fresh_ctx t) t (Sql sql)))
 
 let pp_analysis t ppf (p, report) =
   Format.fprintf ppf
@@ -855,6 +870,35 @@ let pp_analysis t ppf (p, report) =
     p.search.Search_stats.join_plans p.search.Search_stats.group_plans
     p.search.Search_stats.entries p.search.Search_stats.pullups
     (group_placement p.plan) Explain_analyze.pp report
+
+(* EXPLAIN ANALYZE: the query pipeline with the profiler on, the report
+   zipped from the record's profile onto the plan next to the model's
+   estimates (at the session's work_mem).  A failed execution still has a
+   (partial) report; a failure before execution has none and raises. *)
+let analyze ?(limits = no_limits) t input =
+  let work_mem = Option.value ~default:t.cfg.work_mem limits.sl_work_mem in
+  let res, r =
+    run_query ~profile:true ~limits (Exec_ctx.create ~work_mem t.cat) t input
+  in
+  match r.planned, r.profile with
+  | Some p, Some prof ->
+    ( p,
+      Result.map (fun (_, rel, _) -> rel) res,
+      Explain_analyze.of_profile t.cat ~work_mem p.plan ~io:r.io
+        ~wall_ms:r.exec_ms prof )
+  | _ -> raise (Result.get_error res)
+
+let explain_analyze ?params ?limits t stmt =
+  analyze ?limits t (Prepared (stmt, params))
+
+let explain_analyze_sql ?limits t sql =
+  let p, res, report = analyze ?limits t (Sql sql) in
+  let body = Format.asprintf "%a" (pp_analysis t) (p, report) in
+  match res with
+  | Ok _ -> Ok body
+  | Error (Avq_error.Error e) -> Error (e, body)
+  | Error e -> raise e
+
 
 type error_stats = {
   io_faults : int;
@@ -941,141 +985,110 @@ let invalidate_all t = Sync.protect t.lock (fun () -> Plan_cache.clear t.cache)
 
 let bad_stmt fmt =
   Format.kasprintf
-    (fun m ->
-      let e = Avq_error.Bad_statement m in
-      Avq_error.error e)
+    (fun m -> Avq_error.error (Avq_error.Bad_statement m))
     fmt
 
-(* Execute one non-SELECT statement under the service lock (the lock also
-   guards the matview registry, and holding it across the catalog mutation
-   means no planner observes a half-applied write).  The epoch bump inside
-   [Catalog.insert] / the extent swap invalidates cached plans on their next
-   lookup.  Returns a human-readable completion tag. *)
-let exec_statement_inner t sql =
-  let count_err = record_error t in
-  let guard f =
-    try f () with
-    | Matview.Error m ->
-      let e = Avq_error.Bad_statement m in
-      count_err e; Avq_error.error e
-    | Binder.Bind_error m ->
-      let e = Avq_error.Bad_statement ("bind: " ^ m) in
-      count_err e; Avq_error.error e
-    | Invalid_argument m ->
-      let e = Avq_error.Bad_statement m in
-      count_err e; Avq_error.error e
-  in
-  Metrics.Counter.incr t.statements;
+(* The prepare stage of a write: parse, bind and validate outside the lock,
+   returning the apply stage.  Apply runs under the service lock (which
+   also guards the matview registry): holding it across the catalog
+   mutation means no planner observes a half-applied write.  The epoch bump
+   inside [Catalog.insert] / the extent swap invalidates cached plans on
+   their next lookup.  Apply returns a human-readable completion tag. *)
+let prepare_update t sql =
   match Parser.parse_script sql with
   | [ Sql_ast.S_insert { it_table; it_rows } ] ->
-    guard (fun () ->
-        if
-          String.length it_table >= String.length Matview.backing_prefix
-          && String.sub it_table 0 (String.length Matview.backing_prefix)
-             = Matview.backing_prefix
-        then bad_stmt "INSERT into a materialized-view extent is not allowed";
-        if Sysview.is_system_table it_table then
-          bad_stmt "INSERT into a system view is not allowed";
-        let rows = Binder.bind_insert t.cat ~table:it_table it_rows in
-        Sync.protect t.lock (fun () ->
-            (* Write-ahead: the bound rows hit the log (and, in always mode,
-               the disk) before the catalog mutates.  Replay re-runs
-               [Catalog.insert], which re-synthesizes identical [_rid]s. *)
-            let lsn =
-              wal_append_locked t (Wal.Insert { table = it_table; rows })
-            in
-            let stored = Catalog.insert t.cat ~table:it_table rows in
-            let versions_before =
-              List.map
-                (fun v -> (v.Matview.mv_name, v.Matview.mv_versions))
-                (Matview.views t.mviews)
-            in
-            Matview.on_insert t.cat t.mviews ~table:it_table ~rows:stored;
-            (* Informational markers for each view that absorbed the delta
-               (its version vector moved); covered by the insert's commit. *)
-            List.iter
-              (fun v ->
-                match List.assoc_opt v.Matview.mv_name versions_before with
-                | Some old when old <> v.Matview.mv_versions ->
-                  ignore
-                    (wal_append_locked t
-                       (Wal.Mv_delta
-                          { view = v.Matview.mv_name; table = it_table;
-                            rows = List.length stored }))
-                | _ -> ())
-              (Matview.views t.mviews);
-            wal_commit_locked t lsn;
-            Printf.sprintf "INSERT %d" (List.length stored)))
+    if
+      String.length it_table >= String.length Matview.backing_prefix
+      && String.sub it_table 0 (String.length Matview.backing_prefix)
+         = Matview.backing_prefix
+    then bad_stmt "INSERT into a materialized-view extent is not allowed";
+    if Sysview.is_system_table it_table then
+      bad_stmt "INSERT into a system view is not allowed";
+    let rows = Binder.bind_insert t.cat ~table:it_table it_rows in
+    fun () ->
+      (* Write-ahead: the bound rows hit the log (and, in always mode, the
+         disk) before the catalog mutates.  Replay re-runs
+         [Catalog.insert], which re-synthesizes identical [_rid]s. *)
+      let lsn = wal_append_locked t (Wal.Insert { table = it_table; rows }) in
+      let stored = Catalog.insert t.cat ~table:it_table rows in
+      let versions_before =
+        List.map
+          (fun v -> (v.Matview.mv_name, v.Matview.mv_versions))
+          (Matview.views t.mviews)
+      in
+      Matview.on_insert t.cat t.mviews ~table:it_table ~rows:stored;
+      (* Informational markers for each view that absorbed the delta (its
+         version vector moved); covered by the insert's commit. *)
+      List.iter
+        (fun v ->
+          match List.assoc_opt v.Matview.mv_name versions_before with
+          | Some old when old <> v.Matview.mv_versions ->
+            ignore
+              (wal_append_locked t
+                 (Wal.Mv_delta
+                    { view = v.Matview.mv_name; table = it_table;
+                      rows = List.length stored }))
+          | _ -> ())
+        (Matview.views t.mviews);
+      wal_commit_locked t lsn;
+      Printf.sprintf "INSERT %d" (List.length stored)
   | [ Sql_ast.S_create_matview { mv_name; mv_body } ] ->
-    guard (fun () ->
-        let def = Binder.bind_matview_body t.cat ~name:mv_name mv_body in
-        let sql_text = Pretty.select_to_string mv_body in
-        Sync.protect t.lock (fun () ->
-            let lsn =
-              wal_append_locked t
-                (Wal.Create_matview { name = mv_name; sql = sql_text })
-            in
-            let mv =
-              Matview.create_view ~options:(options t) t.cat t.mviews
-                ~name:mv_name ~sql:sql_text def
-            in
-            wal_commit_locked t lsn;
-            Printf.sprintf "CREATE MATERIALIZED VIEW %s (%d groups)" mv_name
-              (Matview.row_count t.cat mv)))
+    let def = Binder.bind_matview_body t.cat ~name:mv_name mv_body in
+    let sql_text = Pretty.select_to_string mv_body in
+    fun () ->
+      let lsn =
+        wal_append_locked t
+          (Wal.Create_matview { name = mv_name; sql = sql_text })
+      in
+      let mv =
+        Matview.create_view ~options:(options t) t.cat t.mviews ~name:mv_name
+          ~sql:sql_text def
+      in
+      wal_commit_locked t lsn;
+      Printf.sprintf "CREATE MATERIALIZED VIEW %s (%d groups)" mv_name
+        (Matview.row_count t.cat mv)
   | [ Sql_ast.S_drop_matview name ] ->
-    guard (fun () ->
-        Sync.protect t.lock (fun () ->
-            let lsn = wal_append_locked t (Wal.Drop_matview name) in
-            Matview.drop t.cat t.mviews name;
-            wal_commit_locked t lsn;
-            Printf.sprintf "DROP MATERIALIZED VIEW %s" name))
+    fun () ->
+      let lsn = wal_append_locked t (Wal.Drop_matview name) in
+      Matview.drop t.cat t.mviews name;
+      wal_commit_locked t lsn;
+      Printf.sprintf "DROP MATERIALIZED VIEW %s" name
   | [ Sql_ast.S_refresh_matview name ] ->
-    guard (fun () ->
-        Sync.protect t.lock (fun () ->
-            let lsn = wal_append_locked t (Wal.Refresh_matview name) in
-            Matview.refresh ~options:(options t) t.cat t.mviews name;
-            (* The commit lands only after the refresh finished: an abort or
-               crash mid-refresh leaves an uncommitted record that replay
-               drops, so the recovered view is wholly old or wholly new. *)
-            wal_commit_locked t lsn;
-            let mv = Option.get (Matview.find t.mviews name) in
-            Printf.sprintf "REFRESH MATERIALIZED VIEW %s (%d groups)" name
-              (Matview.row_count t.cat mv)))
+    fun () ->
+      let lsn = wal_append_locked t (Wal.Refresh_matview name) in
+      Matview.refresh ~options:(options t) t.cat t.mviews name;
+      (* The commit lands only after the refresh finished: an abort or crash
+         mid-refresh leaves an uncommitted record that replay drops, so the
+         recovered view is wholly old or wholly new. *)
+      wal_commit_locked t lsn;
+      let mv = Option.get (Matview.find t.mviews name) in
+      Printf.sprintf "REFRESH MATERIALIZED VIEW %s (%d groups)" name
+        (Matview.row_count t.cat mv)
   | _ -> bad_stmt "expected exactly one INSERT / MATERIALIZED VIEW statement"
 
-(* DML statements have no plan-cache fingerprint; key their stats on a
-   fingerprint of the trimmed text, and charge the WAL bytes their commit
-   appended (the cumulative counter's delta — checkpoint traffic between
-   statements is not attributed here because the lock is held across the
-   whole mutation). *)
+let wal_appended t =
+  match t.wal with Some w -> (Wal.stats w).Wal.appended_bytes | None -> 0
+
+(* Writes: prepare → apply.  Their record is keyed on a fingerprint of the
+   trimmed text and charged the WAL bytes the apply stage appended
+   (measured under the lock, so no other statement's traffic lands in
+   it). *)
 let exec_statement t sql =
-  let t0 = Unix.gettimeofday () in
-  let text = String.trim sql in
-  let fp = Fingerprint.to_hex (Fingerprint.of_string text) in
-  let wal_bytes () =
-    match t.wal with
-    | Some w -> (Wal.stats w).Wal.appended_bytes
-    | None -> 0
-  in
-  let before = wal_bytes () in
-  match exec_statement_inner t sql with
-  | tag ->
-    Stmt_stats.record t.stats ~fp ~query:text
-      ~wal_bytes:(wal_bytes () - before)
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ();
-    tag
-  | exception e ->
-    let error =
-      match Avq_error.of_exn e with
-      | Some te -> err_kind_label (err_slot te)
-      | None -> "exception"
-    in
-    Stmt_stats.record t.stats ~fp ~query:text ~error
-      ~wal_bytes:(wal_bytes () - before)
-      ~ms:((Unix.gettimeofday () -. t0) *. 1000.)
-      ();
-    raise e
+  let r = new_record ~dop:1 (String.trim sql) in
+  get
+    (run_stages t r (fun () ->
+         let apply = typed (fun () -> prepare_update t sql) in
+         r.started <- Unix.gettimeofday ();
+         r.exec_t0 <- r.started;
+         let tag =
+           Sync.protect t.lock (fun () ->
+               let before = wal_appended t in
+               Fun.protect
+                 ~finally:(fun () -> r.wal_bytes <- wal_appended t - before)
+                 (fun () -> typed apply))
+         in
+         r.exec_ms <- ms_between r.exec_t0 (Unix.gettimeofday ());
+         tag))
 
 let render_matviews t =
   Sync.protect t.lock (fun () ->
@@ -1112,16 +1125,7 @@ let render_matviews t =
 module Pool = struct
   type service = t
 
-  (* As in [Sync]: [Mutex.protect] would bump the lower bound to 5.1. *)
-  let protect m f =
-    Mutex.lock m;
-    match f () with
-    | v ->
-      Mutex.unlock m;
-      v
-    | exception e ->
-      Mutex.unlock m;
-      raise e
+  let protect = Sync.protect
 
   type outcome = (planned * Relation.t * Buffer_pool.stats, exn) result
 
@@ -1135,11 +1139,7 @@ module Pool = struct
            next batch boundary (or immediately, if not yet started) *)
   }
 
-  type task =
-    | Stmt of stmt * Value.t list option * session_limits
-    | Sql of string * session_limits
-
-  type job = { task : task; fut : future }
+  type job = { input : input; limits : session_limits; fut : future }
 
   type t = {
     svc : service;
@@ -1157,32 +1157,10 @@ module Pool = struct
         fut.result <- Some outcome;
         Condition.broadcast fut.fc)
 
-  let run_task svc ctx cancel = function
-    | Stmt (stmt, params, limits) ->
-      execute_on ctx ~cancel ?params ~limits svc stmt
-    | Sql (sql, limits) ->
-      (* Parse/bind failures become typed [Bad_statement] so session batches
-         report them structurally and keep going; planner/executor bugs
-         (other exceptions) still propagate untyped through the future. *)
-      let bad m =
-        let e = Avq_error.Bad_statement m in
-        record_error svc e;
-        Avq_error.error e
-      in
-      let stmt =
-        try prepare svc sql with
-        | Binder.Bind_error msg -> bad ("bind: " ^ msg)
-        | Parser.Parse_error (msg, off) ->
-          bad (Printf.sprintf "parse at %d: %s" off msg)
-        | Lexer.Lex_error (msg, off) ->
-          bad (Printf.sprintf "lex at %d: %s" off msg)
-      in
-      execute_on ctx ~cancel ~limits svc stmt
-
   (* Worker body: one private [Exec_ctx] for the domain's whole lifetime
      (temps are cleaned per run; the context is just the temp registry and
-     work_mem).  Every exception — planner, binder or executor — lands in
-     the job's future; the worker itself never dies early. *)
+     work_mem).  Every statement failure lands in the job's future through
+     the pipeline's outcome; the worker itself never dies early. *)
   let worker pool () =
     let ctx = Exec_ctx.create ~work_mem:pool.svc.cfg.work_mem pool.svc.cat in
     let rec loop () =
@@ -1200,10 +1178,10 @@ module Pool = struct
       in
       match job with
       | None -> ()
-      | Some { task; fut } ->
+      | Some { input; limits; fut } ->
         let outcome =
-          match run_task pool.svc ctx fut.fcancel task with
-          | r -> Ok r
+          match run_query ~cancel:fut.fcancel ~limits ctx pool.svc input with
+          | outcome, _ -> outcome
           | exception e -> Error e
         in
         Sync.Counter.incr pool.executed;
@@ -1244,7 +1222,7 @@ module Pool = struct
   let executed t = Sync.Counter.get t.executed
   let service t = t.svc
 
-  let enqueue t task =
+  let enqueue t input limits =
     let fut =
       {
         fm = Mutex.create ();
@@ -1256,14 +1234,14 @@ module Pool = struct
     protect t.qm (fun () ->
         if t.stopping then
           invalid_arg "Service.Pool: submit after shutdown";
-        Queue.push { task; fut } t.jobs;
+        Queue.push { input; limits; fut } t.jobs;
         Condition.signal t.qc);
     fut
 
   let submit ?params ?(limits = no_limits) t stmt =
-    enqueue t (Stmt (stmt, params, limits))
+    enqueue t (Prepared (stmt, params)) limits
 
-  let submit_sql ?(limits = no_limits) t sql = enqueue t (Sql (sql, limits))
+  let submit_sql ?(limits = no_limits) t sql = enqueue t (Sql sql) limits
 
   (* Cooperative: the executing worker observes the token at its next batch
      boundary; a job still queued fails its initial check instead of
@@ -1286,7 +1264,7 @@ module Pool = struct
           in
           wait ())
     in
-    match outcome with Ok r -> r | Error e -> raise e
+    get outcome
 
   let shutdown t =
     let ds =

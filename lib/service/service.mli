@@ -30,10 +30,6 @@ type config = {
       (** serve a re-bound template only while its re-costed estimate is
           within this factor of the cost it was cached at (>= 1.0) *)
   cache_enabled : bool;  (** [false] = optimize every call (baseline) *)
-  executor : Executor.engine;
-      (** execution engine for this session's runs; the plan cache is
-          engine-agnostic (plans are identical), so sessions sharing a
-          service may differ only in how plans are interpreted *)
   statement_timeout_ms : float option;
       (** per-statement deadline covering planning + execution; exceeding it
           raises [Avq_error.Error (Timeout _)] at the next batch boundary *)
@@ -48,8 +44,8 @@ type config = {
 
 val default_config : config
 (** [Paper] algorithm, 32 pages work_mem, 128 entries / 4 MiB cache,
-    recost ratio 10.0, cache on, batch executor, no timeout or spill
-    quota, serial ([dop = 1]). *)
+    recost ratio 10.0, cache on, no timeout or spill quota, serial
+    ([dop = 1]).  Statements always run on the batch executor. *)
 
 type t
 
@@ -126,8 +122,9 @@ type stmt
 
 val prepare : t -> string -> stmt
 (** Parse, bind and canonicalize an SQL script (CREATE VIEWs followed by one
-    SELECT).  Raises the usual {!Binder.Bind_error} / [Parser.Parse_error] /
-    [Lexer.Lex_error] on bad input. *)
+    SELECT).  Lex, parse and bind failures raise
+    [Avq_error.Error (Bad_statement _)].  Preparing alone is not a
+    statement: nothing is counted (see {!submit} for that). *)
 
 val prepare_query : t -> Block.query -> stmt
 (** Same, for an already-bound query (workload generators, tests). *)
@@ -138,7 +135,15 @@ val stmt_fingerprint : stmt -> string
 val stmt_params : stmt -> Value.t list
 (** The parameter vector extracted at prepare time. *)
 
-(** {1 Execution} *)
+(** {1 Execution}
+
+    Every statement runs one staged pipeline — a query prepare → plan →
+    execute, a write ({!exec_statement}) prepare → apply — that fills one
+    per-statement record.  Counting, latency/IO histograms (successes
+    only), {!Stmt_stats}, [avq_errors_total], traces and the slow log are
+    all read from that record in one place.  Lex, parse and bind errors are
+    typed ([Bad_statement]) in the prepare stage; an untyped exception is
+    an engine bug, recorded with error class ["exception"] and re-raised. *)
 
 type source =
   | Hit  (** cached plan served as-is (identical parameters) *)
@@ -190,12 +195,13 @@ val execute_on :
     matching typed-error counter (see {!error_stats}) and re-raises. *)
 
 val record_error : t -> Avq_error.t -> unit
-(** Count a typed failure that struck outside {!execute_on} — e.g. the
-    network front end's admission rejections — so {!error_stats} and the
-    [avq_errors_total] family stay the single source of truth. *)
+(** Count a typed failure that is not a statement — the network front
+    end's admission rejections and oversized replies — so {!error_stats}
+    and the [avq_errors_total] family stay the single source of truth. *)
 
 val submit : t -> string -> planned * Relation.t * Buffer_pool.stats
-(** One-shot convenience: {!prepare} then {!execute}, sharing the cache. *)
+(** Prepare, plan and execute SQL text as one statement (one that fails to
+    prepare is recorded under the fingerprint of its trimmed text). *)
 
 (** {1 Observability} *)
 
@@ -205,29 +211,37 @@ val metrics : t -> Metrics.t
     ({!Metrics.to_json}) or Prometheus text ({!Metrics.to_prometheus}). *)
 
 val stats_store : t -> Stmt_stats.t
-(** The always-on per-fingerprint statement statistics.  Every statement
-    path ({!execute_on}, {!exec_statement}, {!explain_analyze}) records
-    exactly one observation per [avq_statements_total] increment, so total
-    calls across fingerprints track that counter until eviction or
+(** The always-on per-fingerprint statement statistics.  The pipeline
+    records exactly one observation per [avq_statements_total] increment,
+    so total calls across fingerprints track that counter until eviction or
     {!Stmt_stats.reset} discards history. *)
 
 val set_tracer : t -> Trace.tracer option -> unit
-(** Install (or remove) the statement tracer.  When set, every
-    {!execute}/{!execute_on} emits one span tree — statement → parse /
-    canonicalize / plan / execute, with per-operator child spans under
-    execute — and slow statements hit the tracer's slow-query log. *)
+(** Install (or remove) the statement tracer.  When set, every statement
+    emits one span tree from its record's stage boundaries — statement →
+    parse / canonicalize / plan / execute → per-operator spans (a write:
+    parse / apply) — and slow statements hit the slow-query log. *)
 
 val tracer : t -> Trace.tracer option
 
 val explain_analyze :
   ?params:Value.t list ->
+  ?limits:session_limits ->
   t ->
   stmt ->
   planned * (Relation.t, exn) result * Explain_analyze.t
-(** Plan through the cache like any statement, run under per-operator
-    profiling, and return the annotated estimated-vs-actual tree.  A failing
-    run still returns the (partial) tree with its [error] set; typed errors
-    are counted as usual. *)
+(** Run the statement with the profiler on and [limits] applied, and
+    return the estimated-vs-actual tree (costed at the session's work_mem).
+    A failing execution still returns the (partial) tree with its [error]
+    set; a failure before execution raises. *)
+
+val explain_analyze_sql :
+  ?limits:session_limits ->
+  t ->
+  string ->
+  (string, Avq_error.t * string) result
+(** {!explain_analyze} of SQL text, rendered by {!pp_analysis}; a typed
+    execution failure comes with the partial report. *)
 
 val pp_analysis :
   t -> Format.formatter -> planned * Explain_analyze.t -> unit
@@ -248,9 +262,9 @@ type error_stats = {
   bad_statements : int;
   unavailable : int;
 }
-(** Failed statements by {!Avq_error} kind.  A failed statement still counts
-    one [calls] (the failure strikes during execution, after the planning
-    source was decided), so the cache-counter sum invariant is unaffected. *)
+(** Failed statements by {!Avq_error} kind.  [calls] counts planning
+    requests, so the cache-counter sum invariant is unaffected by failures
+    during execution. *)
 
 val total_errors : error_stats -> int
 
@@ -300,7 +314,8 @@ val exec_statement : t -> string -> string
 (** Execute one INSERT / CREATE / DROP / REFRESH MATERIALIZED VIEW
     statement, returning a completion tag such as ["INSERT 3"].
     Raises [Avq_error.Error (Bad_statement _)] (counted in
-    {!error_stats}) on anything else or on bind/definition errors. *)
+    {!error_stats}) on anything else or on lex, parse, bind or definition
+    errors. *)
 
 val render_matviews : t -> string
 (** Multi-line listing for the [\dm] session directive: per view its name,
@@ -339,8 +354,9 @@ module Pool : sig
 
   val submit_sql : ?limits:session_limits -> t -> string -> future
   (** Enqueue raw SQL; the worker does prepare + plan + execute, so parsing
-      and binding also run off the submitting thread.  Parse/bind failures
-      resolve the future with a typed [Avq_error.Bad_statement]. *)
+      and binding also run off the submitting thread.  Lex/parse/bind
+      failures resolve the future with a typed [Avq_error.Bad_statement]
+      and are counted like any failed statement. *)
 
   val cancel : future -> unit
   (** Request cancellation of one job.  Cooperative: an executing worker
@@ -355,7 +371,7 @@ module Pool : sig
 
   val await : future -> planned * Relation.t * Buffer_pool.stats
   (** Block until the job finishes.  Re-raises the worker-side exception
-      (binder, parser, planner or executor) if the job failed. *)
+      if the job failed. *)
 
   val shutdown : t -> unit
   (** Drain remaining jobs, stop the workers and join their domains.

@@ -240,6 +240,8 @@ let server_session_vars () =
       | Protocol.Result _ -> ()
       | _ -> Alcotest.fail "SET must succeed");
       expect_err "deadline trips" "timeout" (Client.query c slow_sql);
+      expect_err "EXPLAIN ANALYZE honours the deadline" "timeout"
+        (Client.query c ("EXPLAIN ANALYZE " ^ slow_sql));
       (match Client.set c "timeout_ms" "default" with
       | Protocol.Result _ -> ()
       | _ -> Alcotest.fail "SET default must succeed");

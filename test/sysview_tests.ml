@@ -147,7 +147,9 @@ let prom_counter_value body name =
 (* The tentpole's sum invariant: with nothing evicted or reset, the total
    calls across tracked fingerprints equal [avq_statements_total] — every
    statement path records exactly one observation.  Exercised under 4 pool
-   workers plus an INSERT and an EXPLAIN ANALYZE riding along. *)
+   workers plus an INSERT and an EXPLAIN ANALYZE riding along, and one
+   failure of each shape: a bind error on the sync and on the pool path, a
+   parse error in an INSERT, a timeout and a failed EXPLAIN ANALYZE. *)
 let pool_soak_sum_invariant () =
   let svc = make_service () in
   let templates =
@@ -172,8 +174,33 @@ let pool_soak_sum_invariant () =
   (match Service.explain_analyze svc stmt with
   | _, Ok _, _ -> ()
   | _, Error _, _ -> Alcotest.fail "explain analyze failed");
+  let expect_error what kind f =
+    match f () with
+    | _ -> Alcotest.failf "%s should have failed" what
+    | exception Avq_error.Error e ->
+      Alcotest.(check string) what kind (Avq_error.kind_label e)
+  in
+  let unbound = "SELECT x.nope AS n FROM emp x" in
+  let triples =
+    "SELECT e1.dno AS dno, COUNT(*) AS c FROM emp e1, emp e2, emp e3 WHERE \
+     e1.dno = e2.dno AND e2.dno = e3.dno GROUP BY e1.dno"
+  in
+  let limits = { Service.no_limits with Service.sl_timeout_ms = Some 1. } in
+  expect_error "bind error, sync" "bad-statement" (fun () ->
+      Service.submit svc unbound);
+  expect_error "parse error in an INSERT" "bad-statement" (fun () ->
+      Service.exec_statement svc "INSERT INTO emp VALUES (1,2");
+  Service.Pool.with_pool ~workers:2 svc (fun pool ->
+      expect_error "bind error, pool" "bad-statement" (fun () ->
+          Service.Pool.await (Service.Pool.submit_sql pool unbound));
+      expect_error "timeout" "timeout" (fun () ->
+          Service.Pool.await (Service.Pool.submit_sql ~limits pool triples)));
+  (match Service.explain_analyze ~limits svc (Service.prepare svc triples) with
+  | _, Error (Avq_error.Error (Avq_error.Timeout _)), _ -> ()
+  | _ -> Alcotest.fail "explain analyze under a 1 ms deadline must time out");
+  let failures = 5 in
   let st = Service.stats_store svc in
-  let expected = (3 * per_template) + 2 in
+  let expected = (3 * per_template) + 2 + failures in
   Alcotest.(check int) "recorded = statements executed" expected
     (Stmt_stats.recorded st);
   Alcotest.(check int) "sum(calls) = recorded (nothing evicted)" expected
@@ -183,6 +210,18 @@ let pool_soak_sum_invariant () =
     "sum(calls) = avq_statements_total"
     (prom_counter_value prom "avq_statements_total")
     (float_of_int (Stmt_stats.total_calls st));
+  let stat_errors =
+    List.fold_left
+      (fun acc (s : Stmt_stats.stat) -> acc + s.Stmt_stats.errors)
+      0 (Stmt_stats.snapshot st)
+  in
+  Alcotest.(check int) "failures recorded" failures stat_errors;
+  Alcotest.(check int) "sum(errors) = sum(avq_errors_total)" stat_errors
+    (Service.total_errors (Service.stats svc).Service.errors);
+  Alcotest.(check (float 0.))
+    "avq_statement_ms observes the successes"
+    (float_of_int (expected - failures))
+    (prom_counter_value prom "avq_statement_ms_count");
   check_contains "store meta-instruments exported" prom
     "avq_stat_recorded_total"
 
