@@ -47,7 +47,12 @@ val relations : t -> (string * string) list
 
 val eval : Catalog.t -> t -> Relation.t
 (** Reference interpreter: evaluates the tree directly over in-memory
-    relations.  Not IO-accounted; intended for tests and small inputs. *)
+    relations, with bag semantics and groups in first-seen order.  A chain
+    of joins, with the filter directly above it, is evaluated as one: joins
+    hash on equi-join conjuncts and each conjunct applies as soon as its
+    columns are bound, so no cross product is built where a join key
+    exists.  The result's columns are in {!schema} order.  Not
+    IO-accounted; intended for tests. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line indented rendering of the tree. *)

@@ -145,6 +145,130 @@ let bad_group_key () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for bad grouping column"
 
+(* ---- hash-join reference vs the nested-loop interpreter it replaced ----
+
+   [nl_eval] is the reference interpreter as it was before joins hashed:
+   nested loops in FROM order, filters applied above the whole product. *)
+
+let rec nl_eval cat = function
+  | Logical.Scan s ->
+    let tbl = Catalog.table_exn cat s.table in
+    Relation.create s.schema (Relation.tuples (Heap_file.to_relation tbl.Catalog.heap))
+  | Logical.Filter f ->
+    let rel = nl_eval cat f.input in
+    Relation.filter (Expr.compile_pred (Relation.schema rel) f.pred) rel
+  | Logical.Join j ->
+    let lrel = nl_eval cat j.left and rrel = nl_eval cat j.right in
+    let out = Schema.append (Relation.schema lrel) (Relation.schema rrel) in
+    let keep =
+      match Expr.conjoin j.cond with
+      | None -> fun _ -> true
+      | Some p -> Expr.compile_pred out p
+    in
+    let rows =
+      Relation.fold
+        (fun acc lt ->
+          Relation.fold
+            (fun acc rt ->
+              let tup = Tuple.concat lt rt in
+              if keep tup then tup :: acc else acc)
+            acc rrel)
+        [] lrel
+    in
+    Relation.create out (List.rev rows)
+  | Logical.Group g as t ->
+    let rel = nl_eval cat g.input in
+    let in_schema = Relation.schema rel in
+    let key_idx = Array.of_list (List.map (Expr.resolve_column in_schema) g.keys) in
+    let args =
+      List.map
+        (fun (a : Aggregate.t) ->
+          match a.Aggregate.arg with
+          | None -> fun _ -> None
+          | Some e ->
+            let f = Expr.compile in_schema e in
+            fun tup -> Some (f tup))
+        g.aggs
+    in
+    let tbl = Hashtbl.create 64 and order = ref [] in
+    Relation.iter
+      (fun tup ->
+        let k = Tuple.project_arr tup key_idx in
+        let st =
+          match Hashtbl.find_opt tbl k with
+          | Some st -> st
+          | None ->
+            order := k :: !order;
+            List.map (fun (a : Aggregate.t) -> Aggregate.init a.Aggregate.func) g.aggs
+        in
+        Hashtbl.replace tbl k (List.map2 (fun s f -> Aggregate.step s (f tup)) st args))
+      rel;
+    let out = Logical.schema t in
+    let rows =
+      List.rev_map
+        (fun k ->
+          Tuple.concat k (Array.of_list (List.map Aggregate.finish (Hashtbl.find tbl k))))
+        !order
+    in
+    let grouped = Relation.create out rows in
+    (match Expr.conjoin g.having with
+     | None -> grouped
+     | Some p -> Relation.filter (Expr.compile_pred out p) grouped)
+  | Logical.Project p ->
+    let rel = nl_eval cat p.input in
+    let fns = List.map (fun (e, _) -> Expr.compile (Relation.schema rel) e) p.cols in
+    Relation.map_tuples
+      (Schema.of_columns (List.map snd p.cols))
+      (fun tup -> Array.of_list (List.map (fun f -> f tup) fns))
+      rel
+
+let diff_catalogs =
+  lazy
+    [
+      Tpcd.load
+        ~params:
+          { Tpcd.default_params with customers = 16; orders_per_customer = 2;
+            lines_per_order = 2; parts = 10; suppliers = 4 }
+        ();
+      Star.load
+        ~params:
+          { Star.default_params with days = 5; products = 8; stores = 3;
+            rows_per_day = 10 }
+        ();
+      Chain.load ~rows:30 ~n:3 ();
+    ]
+
+let rec subtrees t =
+  t
+  :: (match t with
+     | Logical.Scan _ -> []
+     | Logical.Filter { input; _ } | Logical.Group { input; _ }
+     | Logical.Project { input; _ } ->
+       subtrees input
+     | Logical.Join { left; right; _ } -> subtrees left @ subtrees right)
+
+(* Every subtree is checked, not just the query's root: a root Group or
+   Project resolves columns by name, so a join chain's column order only
+   shows below it. *)
+let prop_hash_join_equals_nested_loop =
+  QCheck.Test.make ~name:"hash-join eval = nested-loop eval (bag and schema)"
+    ~count:200 QCheck.small_nat
+    (fun seed ->
+      let cat = List.nth (Lazy.force diff_catalogs) (seed mod 3) in
+      let rng = Rng.create ~seed:(seed * 131) in
+      let complexity = if seed mod 2 = 0 then `Rich else `Simple in
+      let q = Query_gen.generate ~complexity rng cat in
+      List.for_all
+        (fun t ->
+          let got = Logical.eval cat t and want = nl_eval cat t in
+          if Relation.schema got <> Logical.schema t then
+            QCheck.Test.fail_reportf "seed %d: schema differs from Logical.schema@.%a"
+              seed Logical.pp t
+          else if not (Relation.multiset_equal got want) then
+            QCheck.Test.fail_reportf "seed %d: bags differ@.%a" seed Logical.pp t
+          else true)
+        (subtrees (Block.query_logical cat q)))
+
 let tests =
   [
     Alcotest.test_case "scan + filter" `Quick scan_filter;
@@ -153,4 +277,5 @@ let tests =
     Alcotest.test_case "scalar aggregate over empty input" `Quick scalar_group_empty_input;
     Alcotest.test_case "project computes expressions" `Quick project_eval;
     Alcotest.test_case "bad grouping column rejected" `Quick bad_group_key;
+    QCheck_alcotest.to_alcotest prop_hash_join_equals_nested_loop;
   ]
