@@ -1,81 +1,47 @@
-(* E14 — batched (vectorized) execution engine vs. the row-at-a-time
-   volcano interpreter.
+(* E14 — throughput of the batched (vectorized) executor.
 
-   Not a paper experiment: the paper's claims are about IO cost, and both
-   engines are constructed to incur *identical* page IO (same plans, same
-   page-touch order).  This experiment establishes the repo's CPU-side perf
-   trajectory: rows/sec of scan→filter→group and scan→filter→join→group
-   pipelines over the TPC-D-like and star workloads, row vs. batch path,
-   plus per-operator counters from the profiled batch run. *)
+   Not a paper experiment: the paper's claims are about IO cost.  This
+   experiment tracks the executor's CPU-side perf: rows/sec of
+   scan→filter→group and scan→filter→join→group pipelines over the
+   TPC-D-like and star workloads on a warm pool, plus per-operator counters
+   from a profiled run.  Each pipeline is scored by the median of 9 trials,
+   with the min–max spread next to it, so records from two versions of the
+   code can be compared against noise. *)
 
 let col q n = Schema.column ~qual:q n Datatype.Int
 let le q n v = Expr.Cmp (Expr.Le, Expr.Col (col q n), Expr.Const (Value.Int v))
 let sum q n out = Aggregate.make Aggregate.Sum ~arg:(Expr.Col (col q n)) out
 
-(* Interleave trials of the two engines so machine-load drift hits both
-   equally, and score each by its median trial — a median keeps one slow
-   (or one lucky) run from swinging the reported ratio. *)
-let time_pair n f g =
-  let once h =
-    let t0 = Unix.gettimeofday () in
-    h ();
-    Unix.gettimeofday () -. t0
-  in
-  let ts_f = Array.make n 0. and ts_g = Array.make n 0. in
-  for i = 0 to n - 1 do
-    ts_f.(i) <- once f;
-    ts_g.(i) <- once g
-  done;
-  let median ts =
-    Array.sort compare ts;
-    ts.(n / 2)
-  in
-  (median ts_f, median ts_g)
+let trials = 9
 
-type outcome = {
-  same : bool;
-  io_row : int;
-  io_batch : int;
-  rps_row : float;
-  rps_batch : float;
-}
+type outcome = { io : int; rps : float; rps_min : float; rps_max : float }
 
 let bench_pipeline ~cat ~name ~input_rows plan =
   let ctx = Exec_ctx.create ~work_mem:256 cat in
-  let rel_row, io_row = Executor.run_measured ~cold:true ~executor:`Row ctx plan in
-  let rel_batch, io_batch =
-    Executor.run_measured ~cold:true ~executor:`Batch ctx plan
+  let _, io = Executor.run_measured ~cold:true ctx plan in
+  let io = io.Buffer_pool.reads + io.Buffer_pool.writes in
+  (* Warm the pool, then time CPU-side throughput. *)
+  ignore (Executor.run ctx plan);
+  let ts =
+    Array.init trials (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (Executor.run ctx plan);
+        Unix.gettimeofday () -. t0)
   in
-  let same = Relation.multiset_equal rel_row rel_batch in
-  let io (s : Buffer_pool.stats) = s.Buffer_pool.reads + s.Buffer_pool.writes in
-  (* Warm the pool, then time CPU-side throughput (median of 7,
-     interleaved). *)
-  ignore (Executor.run ~executor:`Row ctx plan);
-  ignore (Executor.run ~executor:`Batch ctx plan);
-  let t_row, t_batch =
-    time_pair 7
-      (fun () -> ignore (Executor.run ~executor:`Row ctx plan))
-      (fun () -> ignore (Executor.run ~executor:`Batch ctx plan))
-  in
+  Array.sort compare ts;
+  let t = ts.(trials / 2) in
   let rps t = float_of_int input_rows /. t in
-  let record engine t =
-    Bench_util.Json.record
-      ~name:(Printf.sprintf "%s.%s" name engine)
-      ~config:
-        [ ("engine", engine); ("dop", "1");
-          ("input_rows", string_of_int input_rows) ]
-      ~io:(io (if engine = "row" then io_row else io_batch))
-      ~wall_ms:(t *. 1000.) ~rows_per_sec:(rps t) ()
+  let o =
+    { io; rps = rps t; rps_min = rps ts.(trials - 1); rps_max = rps ts.(0) }
   in
-  record "row" t_row;
-  record "batch" t_batch;
-  {
-    same;
-    io_row = io io_row;
-    io_batch = io io_batch;
-    rps_row = rps t_row;
-    rps_batch = rps t_batch;
-  }
+  Bench_util.Json.record ~name:(name ^ ".batch")
+    ~config:
+      [ ("engine", "batch"); ("dop", "1");
+        ("cores", string_of_int (Domain.recommended_domain_count ()));
+        ("input_rows", string_of_int input_rows) ]
+    ~extra:[ ("rows_per_sec_min", o.rps_min); ("rows_per_sec_max", o.rps_max) ]
+    ~io ~wall_ms:(t *. 1000.) ~rows_per_sec:o.rps ();
+  o
 
 let run () =
   let tpcd =
@@ -160,42 +126,22 @@ let run () =
     List.map
       (fun (name, cat, input_rows, plan) ->
         let o = bench_pipeline ~cat ~name ~input_rows plan in
-        ( name,
-          [
-            name;
-            Bench_util.i input_rows;
-            Printf.sprintf "%.2fM" (o.rps_row /. 1e6);
-            Printf.sprintf "%.2fM" (o.rps_batch /. 1e6);
-            Bench_util.f2 (o.rps_batch /. o.rps_row);
-            Bench_util.i o.io_row;
-            Bench_util.i o.io_batch;
-            (if o.same && o.io_row = o.io_batch then "yes" else "NO");
-          ],
-          o ))
+        [
+          name;
+          Bench_util.i input_rows;
+          Printf.sprintf "%.2fM" (o.rps /. 1e6);
+          Printf.sprintf "%.2f–%.2fM" (o.rps_min /. 1e6) (o.rps_max /. 1e6);
+          Bench_util.i o.io;
+        ])
       pipelines
   in
-  Bench_util.print_table ~title:"E14: row vs batch execution engine"
-    ~header:
-      [ "pipeline"; "rows_in"; "row M/s"; "batch M/s"; "speedup"; "io(row)";
-        "io(batch)"; "identical" ]
-    (List.map (fun (_, r, _) -> r) rows);
-  (* Per-operator counters of the profiled batch run (join pipeline). *)
+  Bench_util.print_table ~title:"E14: batch execution engine throughput"
+    ~header:[ "pipeline"; "rows_in"; "M rows/s"; "spread"; "io" ]
+    rows;
+  Printf.printf "(median of %d warm trials; spread = slowest–fastest trial; %d cores)\n"
+    trials (Domain.recommended_domain_count ());
+  (* Per-operator counters of the profiled run (join pipeline). *)
   let ctx = Exec_ctx.create ~work_mem:256 tpcd in
-  let _, prof = Executor.run_profiled ~executor:`Batch ctx tpcd_sfjg in
-  Printf.printf "\nper-operator counters (batch, tpcd.scan_filter_join_group):\n%s\n"
-    (Profile.to_string prof);
-  let ok =
-    List.for_all
-      (fun (name, _, o) ->
-        let is_sfg =
-          name = "tpcd.scan_filter_group" || name = "star.scan_filter_group"
-        in
-        o.same && o.io_row = o.io_batch
-        && ((not is_sfg) || o.rps_batch >= 2.0 *. o.rps_row))
-      rows
-  in
-  Printf.printf "\nverdict: %s\n"
-    (if ok then
-       "reproduced — batch path >= 2x rows/sec on scan->filter->group, \
-        identical results and page IO"
-     else "NOT met — see table above")
+  let _, prof = Executor.run_profiled ctx tpcd_sfjg in
+  Printf.printf "\nper-operator counters (tpcd.scan_filter_join_group):\n%s\n"
+    (Profile.to_string prof)

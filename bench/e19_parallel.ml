@@ -68,7 +68,7 @@ let run () =
          dops
   in
   let ctx = Exec_ctx.create ~work_mem:256 cat in
-  let run_plan p = Executor.run ~executor:`Batch ctx p in
+  let run_plan p = Executor.run ctx p in
   (* Correctness first: every parallel plan byte-identical to serial. *)
   let reference = run_plan serial in
   let identical =
@@ -122,7 +122,7 @@ let run () =
      its worker-<i> children (rows, batches, wall ms, page IO each). *)
   (match List.find_opt (fun (n, _, _) -> n = "dop4") plans with
    | Some (_, _, p) ->
-     let _, prof = Executor.run_profiled ~executor:`Batch ctx p in
+     let _, prof = Executor.run_profiled ctx p in
      Printf.printf "\nper-operator counters (dop 4):\n%s\n"
        (Profile.to_string prof)
    | None -> ());

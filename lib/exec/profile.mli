@@ -2,10 +2,9 @@
 
     {!Executor.run_profiled} threads a profile through plan opening: each
     physical operator registers a node (children nested under parents) and
-    its iterator is wrapped to count rows out, batches and wall time.  On
-    the batch path [ms] is inclusive wall time of [next_batch] calls (the
-    printer subtracts children to show self time); the row path only counts
-    rows — per-row clock reads would distort the path being measured.
+    its iterator is wrapped to count rows out, batches and wall time.
+    [ms] is inclusive wall time of [next_batch] calls (the printer subtracts
+    children to show self time).
 
     Blocking operators (hash build, sort, group) do their input-draining
     work while {e opening}, before the first [next_batch] — that cost lands
@@ -63,7 +62,6 @@ val total_touches : node -> int
     caching notion), so this is the estimate-comparable actual, stable
     whether the pool is cold or warm. *)
 
-val wrap_iter : node -> Iter.t -> Iter.t
 val wrap_biter : node -> Biter.t -> Biter.t
 
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 (* Error-path resource tests: a query that fails mid-pipeline must not leak
    temp heap files, and eager operator closes (Limit) must compose with the
-   executor's unconditional cleanup.  The failing operator sits *above* a
-   spilling external sort, so at the moment of the raise the sort's run
-   files exist and are mid-merge. *)
+   executor's unconditional cleanup.  The failing operator sits *above* an
+   operator holding temps — a spilling external sort mid-merge, or a join or
+   group fed by one — so at the moment of the raise the temp files exist. *)
 
 let c ~q n = Schema.column ~qual:q n Datatype.Int
 
@@ -34,51 +34,85 @@ let exploding_pred =
         (Expr.Div, Expr.int 100, Expr.Binop (Expr.Sub, Expr.Col (c ~q:"a" "v"), Expr.int 50)),
       Expr.int 0 )
 
-let failing_plan = Physical.Filter { input = spilling_sort; pred = [ exploding_pred ] }
+let sort_on q input = Physical.Sort { input; cols = [ c ~q "v" ]; desc = [] }
+let scan q = Physical.Seq_scan { alias = q; table = "r"; filter = [] }
 
-let check_no_leak engine name () =
+(* Operators that hold temps mid-run, each with [a.v] in its output: the
+   sort itself, and one plan per join or group that walks its input row by
+   row — over a spilling sort, or (BNL) against a spooled inner. *)
+let temp_holding_plans =
+  [
+    ("sort", spilling_sort);
+    ( "block nested-loop join",
+      Physical.Block_nl_join
+        { left = scan "a"; right = Physical.Materialize { input = scan "b" };
+          cond = [ Expr.Cmp (Expr.Eq, Expr.Col (c ~q:"a" "k"), Expr.Col (c ~q:"b" "k")) ] } );
+    ( "index nested-loop join",
+      Physical.Index_nl_join
+        { left = spilling_sort; alias = "b"; table = "r"; column = "k";
+          outer_key = c ~q:"a" "k"; cond = [] } );
+    ( "merge join",
+      Physical.Merge_join
+        { left = spilling_sort; right = sort_on "b" (scan "b");
+          keys = [ (c ~q:"a" "v", c ~q:"b" "v") ]; cond = [] } );
+    ( "sort-group",
+      Physical.Sort_group
+        { input = spilling_sort; agg_qual = "g"; keys = [ c ~q:"a" "v" ];
+          aggs = [ Aggregate.make Aggregate.Count_star "n" ]; having = [] } );
+  ]
+
+let check_no_leak (name, plan) () =
   let cat = build_catalog () in
   let ctx = Exec_ctx.create ~work_mem:3 cat in
   let raised =
-    match Executor.run ~executor:engine ctx failing_plan with
+    match Executor.run ctx (Physical.Filter { input = plan; pred = [ exploding_pred ] }) with
     | _ -> false
     | exception Value.Type_error _ -> true
   in
   Alcotest.(check bool) (name ^ ": Type_error propagates") true raised;
   Alcotest.(check int) (name ^ ": zero temp files survive") 0 (Exec_ctx.live_temps ctx)
 
-(* Sanity: the same sort *does* spill and completes cleanly without the
-   exploding filter, and cleanup still leaves no temps. *)
-let check_clean_run engine name () =
+(* A statement cancelled mid-pull: the operators release their temps when
+   the root is closed, before any context-wide cleanup. *)
+let check_cancel_releases (name, plan) () =
   let cat = build_catalog () in
   let ctx = Exec_ctx.create ~work_mem:3 cat in
-  let rel = Executor.run ~executor:engine ctx spilling_sort in
-  Alcotest.(check int) (name ^ ": row count") n_rows (Relation.cardinality rel);
-  Alcotest.(check int) (name ^ ": zero temps after run") 0 (Exec_ctx.live_temps ctx)
+  let tok = Atomic.make false in
+  Exec_ctx.begin_statement ~cancel:tok ctx;
+  let bit = Executor.open_batch ctx plan in
+  Alcotest.(check bool) (name ^ ": first batch") true (bit.Biter.next_batch () <> None);
+  Alcotest.(check bool) (name ^ ": temps live mid-run") true (Exec_ctx.live_temps ctx > 0);
+  Atomic.set tok true;
+  (match bit.Biter.next_batch () with
+   | _ -> Alcotest.failf "%s: cancelled statement kept running" name
+   | exception Avq_error.Error Avq_error.Cancelled -> ());
+  bit.Biter.close ();
+  Alcotest.(check int) (name ^ ": zero temps after close") 0 (Exec_ctx.live_temps ctx)
+
+(* Sanity: the same sort *does* spill and completes cleanly without the
+   exploding filter, and cleanup still leaves no temps. *)
+let check_clean_run () =
+  let cat = build_catalog () in
+  let ctx = Exec_ctx.create ~work_mem:3 cat in
+  let rel = Executor.run ctx spilling_sort in
+  Alcotest.(check int) "row count" n_rows (Relation.cardinality rel);
+  Alcotest.(check int) "zero temps after run" 0 (Exec_ctx.live_temps ctx)
 
 (* Limit closes its input eagerly after [count] rows; the executor's
    unconditional cleanup then closes again.  Both closes and the temp drops
    must compose (idempotent close, idempotent drop). *)
-let check_limit_compose engine name () =
+let check_limit_compose () =
   let cat = build_catalog () in
   let ctx = Exec_ctx.create ~work_mem:3 cat in
   let plan = Physical.Limit { input = spilling_sort; count = 5 } in
-  let rel = Executor.run ~executor:engine ctx plan in
-  Alcotest.(check int) (name ^ ": limited rows") 5 (Relation.cardinality rel);
-  Alcotest.(check int) (name ^ ": zero temps after eager close") 0
-    (Exec_ctx.live_temps ctx)
+  let rel = Executor.run ctx plan in
+  Alcotest.(check int) "limited rows" 5 (Relation.cardinality rel);
+  Alcotest.(check int) "zero temps after eager close" 0 (Exec_ctx.live_temps ctx)
 
 let sample_schema = Schema.of_columns [ c ~q:"t" "x" ]
 let sample_rows = List.init 10 (fun i -> Tuple.make [ Value.Int i ])
 
 exception Boom
-
-let iter_closes_on_exception () =
-  let closes = ref 0 in
-  let base = Iter.of_list sample_schema sample_rows in
-  let it = { base with Iter.close = (fun () -> incr closes; base.Iter.close ()) } in
-  (try Iter.iter (fun _ -> raise Boom) it with Boom -> ());
-  Alcotest.(check int) "source closed exactly once" 1 !closes
 
 let biter_closes_on_exception () =
   let closes = ref 0 in
@@ -91,13 +125,9 @@ let biter_closes_on_exception () =
 
 let once_idempotent () =
   let calls = ref 0 in
-  let f = Iter.once (fun () -> incr calls) in
-  f (); f (); f ();
-  Alcotest.(check int) "wrapped close ran once" 1 !calls;
-  let calls = ref 0 in
   let g = Biter.once (fun () -> incr calls) in
-  g (); g ();
-  Alcotest.(check int) "batch wrapped close ran once" 1 !calls
+  g (); g (); g ();
+  Alcotest.(check int) "wrapped close ran once" 1 !calls
 
 let drop_idempotent () =
   let cat = build_catalog () in
@@ -111,21 +141,20 @@ let drop_idempotent () =
   Alcotest.(check int) "cleanup after drop is a no-op" 0 (Exec_ctx.live_temps ctx)
 
 let tests =
-  [
-    Alcotest.test_case "row: failed query leaks no temps" `Quick
-      (check_no_leak `Row "row");
-    Alcotest.test_case "batch: failed query leaks no temps" `Quick
-      (check_no_leak `Batch "batch");
-    Alcotest.test_case "row: clean spilling sort leaves no temps" `Quick
-      (check_clean_run `Row "row");
-    Alcotest.test_case "batch: clean spilling sort leaves no temps" `Quick
-      (check_clean_run `Batch "batch");
-    Alcotest.test_case "row: limit eager close composes with cleanup" `Quick
-      (check_limit_compose `Row "row");
-    Alcotest.test_case "batch: limit eager close composes with cleanup" `Quick
-      (check_limit_compose `Batch "batch");
-    Alcotest.test_case "iter closes source on exception" `Quick iter_closes_on_exception;
-    Alcotest.test_case "biter closes source on exception" `Quick biter_closes_on_exception;
-    Alcotest.test_case "once close wrappers are idempotent" `Quick once_idempotent;
-    Alcotest.test_case "exec_ctx drop is idempotent" `Quick drop_idempotent;
-  ]
+  List.map
+    (fun ((name, _) as p) ->
+      Alcotest.test_case (name ^ ": failed query leaks no temps") `Quick (check_no_leak p))
+    temp_holding_plans
+  @ List.map
+      (fun ((name, _) as p) ->
+        Alcotest.test_case (name ^ ": cancel releases temps on close") `Quick
+          (check_cancel_releases p))
+      temp_holding_plans
+  @ [
+      Alcotest.test_case "clean spilling sort leaves no temps" `Quick check_clean_run;
+      Alcotest.test_case "limit eager close composes with cleanup" `Quick
+        check_limit_compose;
+      Alcotest.test_case "biter closes source on exception" `Quick biter_closes_on_exception;
+      Alcotest.test_case "once close wrapper is idempotent" `Quick once_idempotent;
+      Alcotest.test_case "exec_ctx drop is idempotent" `Quick drop_idempotent;
+    ]

@@ -89,7 +89,7 @@ let grace_hash_spill () =
   let st = Exec_ctx.storage ctx in
   Buffer_pool.clear (Storage.pool st);
   Storage.reset_io st;
-  let got = Iter.to_relation (Executor.open_iter ctx plan) in
+  let got = Biter.to_relation (Executor.open_batch ctx plan) in
   let io = Storage.io_stats st in
   Exec_ctx.cleanup ctx;
   Alcotest.(check bool) "spill wrote temp pages" true (io.Buffer_pool.writes > 0);

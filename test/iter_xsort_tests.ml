@@ -1,28 +1,8 @@
-(* Iterators, external sort internals and execution-context hygiene. *)
+(* External sort internals and execution-context hygiene. *)
 
 let int_schema = Schema.of_columns [ Schema.column ~qual:"t" "x" Datatype.Int ]
 
 let mk_tuples l = List.map (fun i -> Tuple.make [ Value.Int i ]) l
-
-let iter_helpers () =
-  let it = Iter.of_list int_schema (mk_tuples [ 1; 2; 3; 4 ]) in
-  let doubled =
-    Iter.map int_schema (fun t ->
-        Tuple.make [ Value.mul (Tuple.get t 0) (Value.Int 2) ]) it
-  in
-  let even =
-    Iter.filter
-      (fun t -> match Tuple.get t 0 with Value.Int v -> v mod 4 = 0 | _ -> false)
-      doubled
-  in
-  Alcotest.(check int) "map+filter" 2 (List.length (Iter.to_list even));
-  let fanout =
-    Iter.concat_map_tuples int_schema
-      (fun t -> [ t; t ])
-      (Iter.of_list int_schema (mk_tuples [ 7; 8 ]))
-  in
-  Alcotest.(check int) "concat_map fanout" 4 (List.length (Iter.to_list fanout));
-  Alcotest.(check int) "empty" 0 (List.length (Iter.to_list (Iter.empty int_schema)))
 
 let multi_pass_merge () =
   (* work_mem = 3 => fan-in 2; 40 pages of data => several merge passes. *)
@@ -77,7 +57,6 @@ let sort_comparator_fallback () =
 
 let tests =
   [
-    Alcotest.test_case "iterator combinators" `Quick iter_helpers;
     Alcotest.test_case "multi-pass external merge sort" `Quick multi_pass_merge;
     Alcotest.test_case "temp files cleaned up between runs" `Quick temp_cleanup;
     Alcotest.test_case "sort key resolution failure" `Quick sort_comparator_fallback;
