@@ -73,7 +73,8 @@ let select p t =
    column [idx] compares [op] against the integer constant [k].  Skips the
    per-row closure tree and polymorphic compare of the generic [select];
    non-[Int] values (mixed-type data) fall back to the generic compare so
-   semantics — including type errors — match the row interpreter. *)
+   semantics — including type errors — match [select] over the compiled
+   predicate. *)
 let select_int_cmp ~op ~idx k t =
   let n = live t in
   let keep = Array.make n 0 in

@@ -101,6 +101,31 @@ let order_limit () =
   in
   Alcotest.(check bool) "output sorted" true (sorted (Relation.tuples got))
 
+(* Ties at the LIMIT cut: the reference's stable sort keeps the join's row
+   order among equal keys, and the executor must pick the same rows. *)
+let order_limit_ties_over_join () =
+  let cat = Emp_dept.load ~params:small_params () in
+  let sql limit =
+    "SELECT e.eno AS eno, d.dno AS dno FROM emp e, dept d WHERE e.dno = d.dno \
+     ORDER BY dno" ^ limit
+  in
+  let all = Block.reference_eval cat (Binder.bind_sql cat (sql "")) in
+  let q = Binder.bind_sql cat (sql " LIMIT 7") in
+  let expected = Block.reference_eval cat q in
+  let last_key rel = Tuple.get (List.nth (Relation.tuples rel) 6) 1 in
+  let with_key k rel =
+    List.length (List.filter (fun t -> Value.compare (Tuple.get t 1) k = 0) (Relation.tuples rel))
+  in
+  Alcotest.(check bool) "the cut splits a tie" true
+    (with_key (last_key expected) all > with_key (last_key expected) expected);
+  List.iter
+    (fun algorithm ->
+      let options = { Optimizer.default_options with algorithm } in
+      let got, _ = Optimizer.run ~options cat q in
+      Alcotest.(check bool) "same rows as the reference" true
+        (Relation.multiset_equal expected got))
+    [ Optimizer.Traditional; Optimizer.Greedy_conservative; Optimizer.Paper ]
+
 let order_by_qualified_and_agg () =
   let cat = Emp_dept.load ~params:small_params () in
   let q =
@@ -154,6 +179,8 @@ let order_limit_errors () =
 let more_tests =
   [
     Alcotest.test_case "ORDER BY + LIMIT" `Quick order_limit;
+    Alcotest.test_case "ORDER BY ties under LIMIT over a join" `Quick
+      order_limit_ties_over_join;
     Alcotest.test_case "ORDER BY qualified over grouped query" `Quick
       order_by_qualified_and_agg;
     Alcotest.test_case "uncorrelated scalar subquery" `Quick
