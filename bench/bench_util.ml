@@ -89,6 +89,12 @@ type outcome = {
   plan : Physical.t;
 }
 
+(* Correctness gates: an experiment whose result is wrong (not merely slow)
+   calls [fail_gate]; [main] still runs and records every selected
+   experiment, then exits non-zero. *)
+let failed_gates : string list ref = ref []
+let fail_gate msg = failed_gates := msg :: !failed_gates
+
 let algo_name = function
   | Optimizer.Traditional -> "traditional"
   | Optimizer.Greedy_conservative -> "greedy"

@@ -110,5 +110,9 @@ let () =
         run ();
         Bench_util.Json.write ~exp:name ~ts;
         print_newline ())
-      to_run
+      to_run;
+    if !Bench_util.failed_gates <> [] then begin
+      List.iter (Printf.eprintf "gate failed: %s\n") (List.rev !Bench_util.failed_gates);
+      exit 1
+    end
   end

@@ -98,7 +98,9 @@ end
 (* ---- worker team ---- *)
 
 type 'a team = {
-  domains : unit Domain.t array;
+  mutable domains : unit Domain.t array;
+  cursor : int Atomic.t;
+  n_morsels : int;
   stats : wstats array;
   results : 'a option array;
   error : (exn * Printexc.raw_backtrace) option Atomic.t;
@@ -107,48 +109,57 @@ type 'a team = {
   mutable joined : bool;
 }
 
-(* Spawn [dop] domains, each folding morsels claimed from a shared cursor.
-   [worker] drives its own loop via [claim], which polls the stop flag and
-   the statement limits (deadline / cancellation) before dispensing the next
-   morsel index.  Each worker runs on a forked context (own temp list, same
-   cancel token) that is cleaned up before the domain exits, measures its
-   own wall time and per-domain IO tally, and parks its result in a
-   dedicated slot. *)
+let make_team ~ctx ~dop ~n_morsels =
+  {
+    domains = [||];
+    cursor = Atomic.make 0;
+    n_morsels;
+    stats = Array.init dop fresh_stats;
+    results = Array.make dop None;
+    error = Atomic.make None;
+    stop = Atomic.make false;
+    storage = Exec_ctx.storage ctx;
+    joined = false;
+  }
+
+(* One worker's body, on whichever domain calls it.  [worker] drives its
+   own loop via [claim], which polls the stop flag and the statement limits
+   (deadline / cancellation) before dispensing the next morsel index.  The
+   worker runs on a forked context (own temp list, same cancel token) that
+   is cleaned up before it returns, measures its own wall time and
+   per-domain IO tally, and parks its result or its error in the team. *)
+let run_worker ctx t worker wid =
+  let ws = t.stats.(wid) in
+  let wctx = Exec_ctx.fork ctx in
+  let t0 = Unix.gettimeofday () in
+  let before = Storage.io_snapshot t.storage in
+  let claim () =
+    if Atomic.get t.stop then None
+    else begin
+      if Exec_ctx.guarded wctx then Exec_ctx.check wctx;
+      let m = Atomic.fetch_and_add t.cursor 1 in
+      if m >= t.n_morsels then None else Some m
+    end
+  in
+  (try t.results.(wid) <- Some (worker ~wid ~stats:ws wctx ~claim)
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     ignore (Atomic.compare_and_set t.error None (Some (e, bt)));
+     Atomic.set t.stop true);
+  (try Exec_ctx.cleanup wctx with _ -> ());
+  ws.wms <- (Unix.gettimeofday () -. t0) *. 1000.;
+  ws.wio <- Storage.io_since t.storage before
+
+(* Spawn [dop] domains, each running one worker body. *)
 let spawn ~ctx ~dop ~n_morsels
     ~(worker :
        wid:int -> stats:wstats -> Exec_ctx.t -> claim:(unit -> int option) -> 'a)
     : 'a team =
-  let dop = clamp_dop dop in
-  let cursor = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let error = Atomic.make None in
-  let stats = Array.init dop fresh_stats in
-  let results = Array.make dop None in
-  let storage = Exec_ctx.storage ctx in
-  let run_worker wid =
-    let ws = stats.(wid) in
-    let wctx = Exec_ctx.fork ctx in
-    let t0 = Unix.gettimeofday () in
-    let before = Storage.io_snapshot storage in
-    let claim () =
-      if Atomic.get stop then None
-      else begin
-        if Exec_ctx.guarded wctx then Exec_ctx.check wctx;
-        let m = Atomic.fetch_and_add cursor 1 in
-        if m >= n_morsels then None else Some m
-      end
-    in
-    (try results.(wid) <- Some (worker ~wid ~stats:ws wctx ~claim)
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       ignore (Atomic.compare_and_set error None (Some (e, bt)));
-       Atomic.set stop true);
-    (try Exec_ctx.cleanup wctx with _ -> ());
-    ws.wms <- (Unix.gettimeofday () -. t0) *. 1000.;
-    ws.wio <- Storage.io_since storage before
-  in
-  let domains = Array.init dop (fun wid -> Domain.spawn (fun () -> run_worker wid)) in
-  { domains; stats; results; error; stop; storage; joined = false }
+  let t = make_team ~ctx ~dop:(clamp_dop dop) ~n_morsels in
+  t.domains <-
+    Array.init (Array.length t.stats) (fun wid ->
+        Domain.spawn (fun () -> run_worker ctx t worker wid));
+  t
 
 let cancel t = Atomic.set t.stop true
 
@@ -169,56 +180,28 @@ let raise_if_error t =
 
 (* ---- blocking fold: per-worker accumulators (parallel partial agg) ---- *)
 
-(* At dop 1 the leader runs the (single) worker inline — no domain spawn,
-   no queue, and no IO re-crediting (the work already lands on the calling
-   domain's tally).  The claim still polls the statement limits, so
-   deadline and cancellation behave exactly as in the spawned case. *)
-let fold_inline ~ctx ~n_morsels ~worker ?on_done () =
-  let ws = fresh_stats 0 in
-  let wctx = Exec_ctx.fork ctx in
-  let storage = Exec_ctx.storage ctx in
-  let cursor = ref 0 in
-  let claim () =
-    if Exec_ctx.guarded wctx then Exec_ctx.check wctx;
-    let m = !cursor in
-    if m >= n_morsels then None
+let fold ~ctx ~dop ~n_morsels ~worker ?on_done () =
+  let team =
+    if clamp_dop dop > 1 then spawn ~ctx ~dop ~n_morsels ~worker
     else begin
-      incr cursor;
-      Some m
+      (* At dop 1 the calling domain runs the one worker body itself: no
+         spawn, and nothing to join or re-credit — its IO already lands on
+         this domain's tally. *)
+      let t = make_team ~ctx ~dop:1 ~n_morsels in
+      t.joined <- true;
+      run_worker ctx t worker 0;
+      t
     end
   in
-  let t0 = Unix.gettimeofday () in
-  let before = Storage.io_snapshot storage in
-  let fin () =
-    (try Exec_ctx.cleanup wctx with _ -> ());
-    ws.wms <- (Unix.gettimeofday () -. t0) *. 1000.;
-    ws.wio <- Storage.io_since storage before;
-    match on_done with Some f -> f [| ws |] | None -> ()
+  join team;
+  (match on_done with Some f -> f team.stats | None -> ());
+  raise_if_error team;
+  let results =
+    Array.map
+      (function Some r -> r | None -> invalid_arg "Exchange.fold: lost worker")
+      team.results
   in
-  match worker ~wid:0 ~stats:ws wctx ~claim with
-  | r ->
-    fin ();
-    ([| r |], [| ws |])
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    fin ();
-    Printexc.raise_with_backtrace e bt
-
-let fold ~ctx ~dop ~n_morsels ~worker ?on_done () =
-  if clamp_dop dop = 1 then fold_inline ~ctx ~n_morsels ~worker ?on_done ()
-  else begin
-    let team = spawn ~ctx ~dop ~n_morsels ~worker in
-    join team;
-    (match on_done with Some f -> f team.stats | None -> ());
-    raise_if_error team;
-    let results =
-      Array.map
-        (function
-          | Some r -> r | None -> invalid_arg "Exchange.fold: lost worker")
-        team.results
-    in
-    (results, team.stats)
-  end
+  (results, team.stats)
 
 (* ---- streaming gather: resequencing consumer ---- *)
 

@@ -43,7 +43,8 @@ val fold :
     (which polls stop/deadline/cancellation and returns [None] when the
     cursor runs dry) and returns a final accumulator.  Blocks until all
     workers join, credits their IO to the calling domain, then re-raises
-    the first worker error if any. *)
+    the first worker error if any.  At dop 1 the calling domain runs the
+    same worker body itself, with no domain spawned. *)
 
 val gather :
   ctx:Exec_ctx.t ->

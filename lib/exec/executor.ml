@@ -77,24 +77,11 @@ let compare_keys a b =
   in
   loop 0
 
-(* Argument extractors for a list of aggregates against an input schema. *)
-let agg_arg_fns schema aggs =
-  List.map
-    (fun (a : Aggregate.t) ->
-      match a.Aggregate.arg with
-      | None -> fun _ -> None
-      | Some e ->
-        let f = Expr.compile schema e in
-        fun tup -> Some (f tup))
-    aggs
-
-let init_states aggs = List.map (fun (a : Aggregate.t) -> Aggregate.init a.Aggregate.func) aggs
-
 (* Unboxed accumulation for the common all-int aggregate shapes —
    COUNT star, COUNT(col) and SUM over an Int-typed column.  [int_agg_plan]
    returns one kernel descriptor per aggregate when every aggregate in the
-   list qualifies, so the batch group operator can keep a plain [int array]
-   per group instead of stepping boxed [Aggregate.state]s. *)
+   list qualifies, so a group can keep a plain [int array] instead of
+   stepping boxed [Aggregate.state]s. *)
 type int_agg = ICount | ISum of int  (* ISum carries the column index *)
 
 let int_agg_plan schema (aggs : Aggregate.t list) =
@@ -110,9 +97,8 @@ let int_agg_plan schema (aggs : Aggregate.t list) =
   let ks = List.filter_map one aggs in
   if List.length ks = List.length aggs then Some (Array.of_list ks) else None
 
-(* The fast-path kernels, shared by the serial and the parallel hash group
-   (closure-free per row).  [int_upgrade] rebuilds generic states from a
-   cell that absorbed >= 1 rows. *)
+(* Closure-free per-row kernels of the unboxed path.  [int_upgrade] rebuilds
+   generic states from a cell that absorbed >= 1 rows. *)
 let int_row_fits ia tup =
   let n = Array.length ia in
   let rec go j =
@@ -144,66 +130,207 @@ let int_upgrade ia (aggs : Aggregate.t list) acc =
          | ISum _ -> Aggregate.sum_state (Value.Int acc.(j)))
        aggs)
 
-let step_states states fns tup =
-  List.map2 (fun st f -> Aggregate.step st (f tup)) states fns
+(* ---- the group kernel ----
 
-let finish_group key states = Tuple.concat key (Array.of_list (List.map Aggregate.finish states))
+   One group table serves the serial hash group and each worker of the
+   parallel one; the sort group folds its one open group with the same
+   cells.  A table is keyed by the single key value ([VH]: no per-row key
+   tuple) or by the key tuple ([TH]).  A group's cell is a plain
+   [int array] while every aggregate is an int COUNT/SUM and every row has
+   fit; a row whose SUM argument is not an [Int] (mis-typed data;
+   [Value.add] would promote the sum to Float) upgrades just that group to
+   generic states rebuilt from its accumulators, so results are identical
+   either way.  Each group records the rank of its first row; output is in
+   rank order, i.e. first-seen order of the input stream. *)
 
-(* ---- hash-join building blocks shared by the serial and parallel paths ---- *)
+type cell =
+  | Fresh  (* no row folded in yet *)
+  | Ints of int array
+  | States of Aggregate.state array
 
-let build_hash_table build_keys build_rows =
-  let table = TH.create 1024 in
+type group = { mutable key : Tuple.t; mutable cell : cell; mutable rank : int }
+
+(* How rows fold into a cell: the aggregates, their argument extractors,
+   and the unboxed kernels when every aggregate qualifies. *)
+type folder = {
+  aggs : Aggregate.t list;
+  fns : (Tuple.t -> Value.t option) array;
+  ints : int_agg array option;
+}
+
+let folder schema aggs =
+  let arg (a : Aggregate.t) =
+    match a.Aggregate.arg with
+    | None -> fun _ -> None
+    | Some e ->
+      let f = Expr.compile schema e in
+      fun tup -> Some (f tup)
+  in
+  { aggs; fns = Array.of_list (List.map arg aggs); ints = int_agg_plan schema aggs }
+
+let states f = function
+  | Fresh ->
+    Array.of_list (List.map (fun (a : Aggregate.t) -> Aggregate.init a.Aggregate.func) f.aggs)
+  | Ints acc -> (
+    match f.ints with Some ia -> int_upgrade ia f.aggs acc | None -> assert false)
+  | States st -> st
+
+let step_states f st tup =
+  for j = 0 to Array.length st - 1 do
+    Array.unsafe_set st j
+      (Aggregate.step (Array.unsafe_get st j) ((Array.unsafe_get f.fns j) tup))
+  done
+
+(* Fold one row into a group. *)
+let step f g tup =
+  match g.cell, f.ints with
+  | States st, _ -> step_states f st tup
+  | Ints acc, Some ia when int_row_fits ia tup -> int_apply ia acc tup
+  | Fresh, Some ia when int_row_fits ia tup ->
+    let acc = Array.make (Array.length ia) 0 in
+    int_apply ia acc tup;
+    g.cell <- Ints acc
+  | cell, _ ->
+    let st = states f cell in
+    step_states f st tup;
+    g.cell <- States st
+
+let finish_row f g =
+  Tuple.concat g.key
+    (match g.cell with
+     | Ints acc -> Array.map (fun x -> Value.Int x) acc
+     | cell -> Array.map Aggregate.finish (states f cell))
+
+type index = One of int * group VH.t | Many of int array * group TH.t
+
+type gtable = {
+  folder : folder;
+  index : index;
+  mutable next_rank : int;  (* rank of the next row added *)
+  mutable order : group list;  (* newest first *)
+  mutable ranked : bool;  (* [order] is by rank; a merge clears it *)
+}
+
+let gtable folder key_idx =
+  let index =
+    match key_idx with
+    | [| ki |] -> One (ki, VH.create 256)
+    | _ -> Many (key_idx, TH.create 256)
+  in
+  { folder; index; next_rank = 0; order = []; ranked = true }
+
+let insert t g =
+  (match t.index with
+   | One (_, h) -> VH.add h g.key.(0) g
+   | Many (_, h) -> TH.add h g.key g);
+  t.order <- g :: t.order
+
+let fresh t key =
+  let g = { key; cell = Fresh; rank = t.next_rank } in
+  insert t g;
+  g
+
+let add t tup =
+  let g =
+    match t.index with
+    | One (ki, h) -> (
+      let k = Array.unsafe_get tup ki in
+      match VH.find_opt h k with Some g -> g | None -> fresh t [| k |])
+    | Many (kidx, h) -> (
+      let k = Tuple.project_arr tup kidx in
+      match TH.find_opt h k with Some g -> g | None -> fresh t k)
+  in
+  step t.folder g tup;
+  t.next_rank <- t.next_rank + 1
+
+let add_batch t b = Batch.iter (add t) b
+
+(* Fold [src]'s groups into [t].  A key in both combines its partials
+   earlier rank first, like the serial fold: elementwise addition while
+   both are unboxed, [Aggregate.merge] (the partial algebra the matview
+   extents use) otherwise.  The merged group keeps the earlier group's key
+   value, which matters when equal keys differ in type (Int 1, Float 1.). *)
+let merge t src =
   List.iter
-    (fun bt ->
-      let k = Tuple.project_arr bt build_keys in
-      TH.replace table k (bt :: Option.value ~default:[] (TH.find_opt table k)))
-    build_rows;
-  table
+    (fun g ->
+      let found =
+        match t.index with
+        | One (_, h) -> VH.find_opt h g.key.(0)
+        | Many (_, h) -> TH.find_opt h g.key
+      in
+      match found with
+      | None -> insert t g
+      | Some g0 ->
+        let a, b = if g0.rank <= g.rank then (g0, g) else (g, g0) in
+        g0.cell <-
+          (match a.cell, b.cell with
+           | Ints x, Ints y -> Ints (Array.map2 ( + ) x y)
+           | ca, cb ->
+             States (Array.map2 Aggregate.merge (states t.folder ca) (states t.folder cb)));
+        g0.key <- a.key;
+        g0.rank <- a.rank)
+    src.order;
+  t.ranked <- false
 
-let probe_hits table probe_keys pt =
-  match TH.find_opt table (Tuple.project_arr pt probe_keys) with
-  | None -> []
-  | Some bts -> bts
+let emit t =
+  let order =
+    if t.ranked then t.order
+    else List.sort (fun a b -> Int.compare b.rank a.rank) t.order
+  in
+  Array.of_list (List.rev_map (finish_row t.folder) order)
 
-let grace_partitions ctx build_pages =
-  let work_mem = Exec_ctx.work_mem ctx in
-  min 64 (max 2 ((build_pages + work_mem - 2) / (work_mem - 1)))
+(* ---- batch plumbing ---- *)
 
-let part_hash nparts keys_idx t =
-  (Tuple_key.hash (Tuple.project_arr t keys_idx) land max_int) mod nparts
+(* Apply filter kernels in order; [None] when no row survives. *)
+let run_kernels kernels b =
+  let b = List.fold_left (fun b k -> k b) b kernels in
+  if Batch.is_empty b then None else Some b
 
-(* Join each spilled partition pair in memory; returns all result tuples in
-   probe order within each partition (partitions in index order). *)
-let grace_join ctx ~nparts ~build_parts ~probe_parts ~build_keys ~probe_keys
-    ~keep ~emit =
-  let results = ref [] in
-  for p = 0 to nparts - 1 do
-    let build_rows = List.of_seq (Heap_file.to_seq build_parts.(p)) in
-    let table = build_hash_table build_keys build_rows in
-    let probe_seq = ref (Heap_file.to_seq probe_parts.(p)) in
-    let rec drain () =
-      match !probe_seq () with
-      | Seq.Nil -> ()
-      | Seq.Cons (pt, rest) ->
-        probe_seq := rest;
-        List.iter
-          (fun bt ->
-            let out = emit pt bt in
-            if keep out then results := out :: !results)
-          (probe_hits table probe_keys pt);
-        drain ()
-    in
-    drain ()
-  done;
-  Array.iter (fun h -> Exec_ctx.drop ctx h) build_parts;
-  Array.iter (fun h -> Exec_ctx.drop ctx h) probe_parts;
-  List.rev !results
+let batch_filter kernels (bit : Biter.t) : Biter.t =
+  let rec next_batch () =
+    match bit.Biter.next_batch () with
+    | None -> None
+    | Some b -> (
+      match run_kernels kernels b with None -> next_batch () | r -> r)
+  in
+  { bit with Biter.next_batch }
+
+let with_having out_schema (g : Physical.group) bit =
+  if g.Physical.having = [] then bit
+  else batch_filter (compile_batch_preds out_schema g.Physical.having) bit
 
 (* One batch from [n] output rows collected in reverse. *)
 let batch_of_rev schema n rev =
   let arr = Array.make n [||] in
   List.iteri (fun i t -> arr.(n - 1 - i) <- t) rev;
   Batch.of_rows schema arr
+
+(* Serial and parallel scans agree on morsel boundaries: morsel [m] covers
+   pages [m*ppb, (m+1)*ppb), one batch's worth, and [scan_batches] walks
+   exactly these ranges.  Returns [(ppb, n_morsels)]. *)
+let morsel_geometry heap =
+  let ppb = max 1 (Batch.default_rows / Heap_file.page_capacity heap) in
+  (ppb, (Heap_file.npages heap + ppb - 1) / ppb)
+
+(* Morsel [m] straight off heap pages: one buffer-pool touch per page,
+   zero-copy — the batch is a view of the heap's backing row array (see the
+   ownership rule in batch.mli). *)
+let morsel_batch schema heap ~ppb m =
+  let rows, lo, len = Heap_file.scan_segment heap ~page:(m * ppb) ~npages:ppb in
+  Batch.of_segment schema rows ~lo ~len
+
+let scan_batches schema heap : Biter.t =
+  let ppb, n_morsels = morsel_geometry heap in
+  let next = ref 0 in
+  let next_batch () =
+    if !next >= n_morsels then None
+    else begin
+      let m = !next in
+      next := m + 1;
+      Some (morsel_batch schema heap ~ppb m)
+    end
+  in
+  { Biter.schema; next_batch; close = (fun () -> next := n_morsels) }
 
 (* A row cursor over a batch stream: [next] hands out one row at a time and
    pulls the next batch only when the current one is used up, so an
@@ -227,42 +354,167 @@ let cursor (bit : Biter.t) =
   in
   next
 
-(* Nested-loop output in batches of at most [Batch.default_rows]: each
-   driver row from [next_driver] meets, in order, the rows [partners d]
-   returns, and [pair d p] is emitted when [keep] accepts it.  The loop
-   state carries over between calls, so no batch grows past the cap and a
-   consumer that stops pulling stops the loops. *)
+(* The output loop of every join but the morsel probe: each driver row
+   from [next_driver] meets, in order, the rows [partners d] returns, and
+   [pair d p] is emitted when [keep] accepts it, in batches of at most
+   [Batch.default_rows].  The loop state carries over between calls, so no
+   batch grows past the cap and a consumer that stops pulling stops the
+   loops.  The output array is reused across batches (the ownership rule
+   in batch.mli): a fresh 1024-slot array per batch lives in the major
+   heap, and every young output row stored into it would be promoted. *)
 let nl_batches schema ~next_driver ~partners ~pair ~keep =
-  let driver = ref [||] and parts = ref [||] and pos = ref 0 in
+  let driver = ref [||] and parts = ref [] in
   let finished = ref false in
+  let buf = Array.make Batch.default_rows [||] in
   let rec fill buf n =
     if n = Batch.default_rows then n
-    else if !pos < Array.length !parts then begin
-      let o = pair !driver (!parts).(!pos) in
-      incr pos;
-      if keep o then begin
-        buf.(n) <- o;
-        fill buf (n + 1)
-      end
-      else fill buf n
-    end
     else
-      match next_driver () with
-      | None ->
-        finished := true;
-        n
-      | Some d ->
-        driver := d;
-        parts := partners d;
-        pos := 0;
-        fill buf n
+      match !parts with
+      | p :: rest ->
+        parts := rest;
+        let o = pair !driver p in
+        if keep o then begin
+          buf.(n) <- o;
+          fill buf (n + 1)
+        end
+        else fill buf n
+      | [] -> (
+        match next_driver () with
+        | None ->
+          finished := true;
+          n
+        | Some d ->
+          driver := d;
+          parts := partners d;
+          fill buf n)
   in
   fun () ->
     if !finished then None
     else
-      let buf = Array.make Batch.default_rows [||] in
       let n = fill buf 0 in
       if n = 0 then None else Some (Batch.of_sub schema buf n)
+
+(* ---- hash join ---- *)
+
+(* A key's rows, most recently added first. *)
+let build_hash_table build_keys build_rows =
+  let table = TH.create 1024 in
+  List.iter
+    (fun bt ->
+      let k = Tuple.project_arr bt build_keys in
+      TH.replace table k (bt :: Option.value ~default:[] (TH.find_opt table k)))
+    build_rows;
+  table
+
+let probe_hits table probe_keys pt =
+  match TH.find_opt table (Tuple.project_arr pt probe_keys) with
+  | None -> []
+  | Some bts -> bts
+
+let part_hash nparts keys_idx t =
+  (Tuple_key.hash (Tuple.project_arr t keys_idx) land max_int) mod nparts
+
+(* A drained hash-join build side and what the probe needs. *)
+type build = {
+  rows : Tuple.t list;  (* in input order *)
+  bschema : Schema.t;
+  pages : int;
+  in_memory : bool;  (* fits in work_mem pages; otherwise the join spills *)
+  build_keys : int array;
+  probe_keys : int array;
+  out_schema : Schema.t;
+  pair : Tuple.t -> Tuple.t -> Tuple.t;  (* probe row -> build row -> output *)
+  keep : Tuple.t -> bool;  (* residual conjuncts *)
+}
+
+(* The build step shared by the serial join and the morsel probe: drain
+   the build side and size it, then resolve keys, output pairing and
+   schema for [build_side]. *)
+let hash_build ctx ~keys ~cond ~build_side (bit : Biter.t) ~probe_schema =
+  let rows = Biter.to_list bit in
+  let bschema = bit.Biter.schema in
+  let pages =
+    Page.pages_for ~rows:(List.length rows) ~row_bytes:(Schema.byte_width bschema)
+  in
+  let out_schema, pair, bcols, pcols =
+    match build_side with
+    | `Right ->
+      ( Schema.append probe_schema bschema,
+        (fun pt bt -> Tuple.concat pt bt),
+        List.map snd keys,
+        List.map fst keys )
+    | `Left ->
+      ( Schema.append bschema probe_schema,
+        (fun pt bt -> Tuple.concat bt pt),
+        List.map fst keys,
+        List.map snd keys )
+  in
+  {
+    rows;
+    bschema;
+    pages;
+    in_memory = pages <= Exec_ctx.work_mem ctx;
+    build_keys = resolve_all bschema bcols;
+    probe_keys = resolve_all probe_schema pcols;
+    out_schema;
+    pair;
+    keep = compile_preds out_schema cond;
+  }
+
+(* In-memory join: the probe rows drive [nl_batches], each meeting its
+   key's build rows. *)
+let memory_join b (probe : Biter.t) : Biter.t =
+  let table = build_hash_table b.build_keys b.rows in
+  let next_batch =
+    nl_batches b.out_schema ~next_driver:(cursor probe)
+      ~partners:(probe_hits table b.probe_keys) ~pair:b.pair ~keep:b.keep
+  in
+  { Biter.schema = b.out_schema; next_batch; close = probe.Biter.close }
+
+(* Grace hash join: partition both sides to temp files by key hash, then
+   join partition by partition through [nl_batches], building one
+   partition's table at a time and dropping its temps once its probe rows
+   are used up.  Output: partitions in index order, probe order within
+   each. *)
+let grace_join ctx b (probe : Biter.t) : Biter.t =
+  let work_mem = Exec_ctx.work_mem ctx in
+  let nparts = min 64 (max 2 ((b.pages + work_mem - 2) / (work_mem - 1))) in
+  let spill schema keys iter =
+    let parts = Array.init nparts (fun _ -> Exec_ctx.temp ctx schema) in
+    iter (fun t -> ignore (Heap_file.append parts.(part_hash nparts keys t) t));
+    parts
+  in
+  let build_parts = spill b.bschema b.build_keys (fun f -> List.iter f b.rows) in
+  let probe_schema = probe.Biter.schema in
+  let probe_parts = spill probe_schema b.probe_keys (fun f -> Biter.iter_rows f probe) in
+  let drop p =
+    Exec_ctx.drop ctx build_parts.(p);
+    Exec_ctx.drop ctx probe_parts.(p)
+  in
+  let part = ref (-1) and table = ref (TH.create 1) in
+  let next_probe = ref (fun () -> None) in
+  let rec next_driver () =
+    match !next_probe () with
+    | Some pt -> Some pt
+    | None ->
+      if !part >= 0 then drop !part;
+      if !part + 1 >= nparts then None
+      else begin
+        incr part;
+        table :=
+          build_hash_table b.build_keys
+            (Biter.to_list (scan_batches b.bschema build_parts.(!part)));
+        next_probe := cursor (scan_batches probe_schema probe_parts.(!part));
+        next_driver ()
+      end
+  in
+  let next_batch =
+    nl_batches b.out_schema ~next_driver
+      ~partners:(fun pt -> probe_hits !table b.probe_keys pt)
+      ~pair:b.pair ~keep:b.keep
+  in
+  let close () = for p = 0 to nparts - 1 do drop p done in
+  { Biter.schema = b.out_schema; next_batch; close }
 
 (* Statement-limit polling (deadline / cancellation), applied to every
    operator a guarded statement opens.  Wrapping each node — not just the
@@ -336,15 +588,12 @@ type segment = {
 
 exception Unsupported_segment
 
-(* Serial and parallel scans must agree on morsel boundaries: morsel [m]
-   covers pages [m*ppb, (m+1)*ppb), exactly the page ranges
-   [scan_batches] walks. *)
-let morsel_geometry heap =
-  let npages = Heap_file.npages heap in
-  let cap = Heap_file.page_capacity heap in
-  let ppb = max 1 (Batch.default_rows / cap) in
-  let n_morsels = if npages = 0 then 0 else ((npages + ppb - 1) / ppb) in
-  (npages, ppb, n_morsels)
+(* The morsel scan of the streaming exchange and the parallel group: the
+   segment's morsel count and the evaluation of one morsel. *)
+let segment_morsels seg =
+  let ppb, n_morsels = morsel_geometry seg.seg_heap in
+  ( n_morsels,
+    fun m -> seg.seg_fn (morsel_batch seg.seg_scan_schema seg.seg_heap ~ppb m) )
 
 (* Pre-register [worker-<i>] profile nodes under the node currently being
    opened (the exchange), returning the callback that fills them with the
@@ -374,6 +623,10 @@ let worker_profile_nodes ctx ~dop =
               n.Profile.hits <- ws.Exchange.wio.Buffer_pool.hits
             end)
           stats)
+
+let group_output ctx (g : Physical.group) t =
+  let out_schema = Physical.schema (Exec_ctx.catalog ctx) (Physical.Hash_group g) in
+  with_having out_schema g (Biter.of_rows out_schema (emit t))
 
 let rec open_batch ctx plan : Biter.t =
   let bit =
@@ -483,8 +736,16 @@ and open_batch_raw ctx plan : Biter.t =
     in
     { Biter.schema = bit.Biter.schema; next_batch; close = close_input }
   | Physical.Hash_join j ->
-    batch_hash_join ctx ~left:j.left ~right:j.right ~keys:j.keys ~cond:j.cond
-      ~build_side:j.build_side
+    let lbit = open_batch ctx j.left in
+    let rbit = open_batch ctx j.right in
+    let build, probe =
+      match j.build_side with `Right -> (rbit, lbit) | `Left -> (lbit, rbit)
+    in
+    let b =
+      hash_build ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side build
+        ~probe_schema:probe.Biter.schema
+    in
+    if b.in_memory then memory_join b probe else grace_join ctx b probe
   | Physical.Hash_group g -> (
     (* Parallel partial aggregation: when the group sits on an exchange
        whose segment the workers can run, fuse scan + partials into the
@@ -510,105 +771,6 @@ and open_batch_raw ctx plan : Biter.t =
   | Physical.Merge_join j ->
     batch_merge_join ctx ~left:j.left ~right:j.right ~keys:j.keys ~cond:j.cond
   | Physical.Sort_group g -> batch_sort_group ctx g
-
-(* Batches straight off heap pages: one buffer-pool touch per page, whole
-   pages per batch, zero-copy — each batch is a view of the heap's backing
-   row array (see the ownership rule in batch.mli). *)
-and scan_batches schema heap : Biter.t =
-  let npages = Heap_file.npages heap in
-  let cap = Heap_file.page_capacity heap in
-  let pages_per_batch = max 1 (Batch.default_rows / cap) in
-  let next_page = ref 0 in
-  let next_batch () =
-    if !next_page >= npages then None
-    else begin
-      let p0 = !next_page in
-      let np = min pages_per_batch (npages - p0) in
-      let rows, lo, len = Heap_file.scan_segment heap ~page:p0 ~npages:np in
-      next_page := p0 + np;
-      Some (Batch.of_segment schema rows ~lo ~len)
-    end
-  in
-  { Biter.schema; next_batch; close = (fun () -> next_page := npages) }
-
-and batch_filter kernels (bit : Biter.t) : Biter.t =
-  let rec next_batch () =
-    match bit.Biter.next_batch () with
-    | None -> None
-    | Some b ->
-      let b = List.fold_left (fun b k -> k b) b kernels in
-      if Batch.is_empty b then next_batch () else Some b
-  in
-  { bit with Biter.next_batch }
-
-and batch_hash_join ctx ~left ~right ~keys ~cond ~build_side : Biter.t =
-  let lbit = open_batch ctx left in
-  let rbit = open_batch ctx right in
-  let out_schema = Schema.append lbit.Biter.schema rbit.Biter.schema in
-  let keep = compile_preds out_schema cond in
-  let lkeys = resolve_all lbit.Biter.schema (List.map fst keys) in
-  let rkeys = resolve_all rbit.Biter.schema (List.map snd keys) in
-  let build_bit, probe_bit, build_keys, probe_keys, emit =
-    match build_side with
-    | `Right -> (rbit, lbit, rkeys, lkeys, fun probe build -> Tuple.concat probe build)
-    | `Left -> (lbit, rbit, lkeys, rkeys, fun probe build -> Tuple.concat build probe)
-  in
-  let build_rows = Biter.to_list build_bit in
-  let build_schema = build_bit.Biter.schema in
-  let build_pages =
-    Page.pages_for ~rows:(List.length build_rows)
-      ~row_bytes:(Schema.byte_width build_schema)
-  in
-  if build_pages <= Exec_ctx.work_mem ctx then begin
-    (* In-memory build; probe batch-at-a-time, emitting one output batch per
-       probe batch with at least one match. *)
-    let table = build_hash_table build_keys build_rows in
-    let rec next_batch () =
-      match probe_bit.Biter.next_batch () with
-      | None -> None
-      | Some pb ->
-        let out = ref [] in
-        let n = ref 0 in
-        Batch.iter
-          (fun pt ->
-            List.iter
-              (fun bt ->
-                let o = emit pt bt in
-                if keep o then begin
-                  out := o :: !out;
-                  incr n
-                end)
-              (probe_hits table probe_keys pt))
-          pb;
-        if !n = 0 then next_batch () else Some (batch_of_rev out_schema !n !out)
-    in
-    { Biter.schema = out_schema; next_batch; close = probe_bit.Biter.close }
-  end
-  else begin
-    (* Grace hash join: partition both sides to temp files, then join each
-       partition pair in memory. *)
-    let nparts = grace_partitions ctx build_pages in
-    let build_parts =
-      Array.init nparts (fun _ -> Exec_ctx.temp ctx build_schema)
-    in
-    List.iter
-      (fun bt ->
-        ignore (Heap_file.append build_parts.(part_hash nparts build_keys bt) bt))
-      build_rows;
-    let probe_schema = probe_bit.Biter.schema in
-    let probe_parts =
-      Array.init nparts (fun _ -> Exec_ctx.temp ctx probe_schema)
-    in
-    Biter.iter_rows
-      (fun pt ->
-        ignore (Heap_file.append probe_parts.(part_hash nparts probe_keys pt) pt))
-      probe_bit;
-    let results =
-      grace_join ctx ~nparts ~build_parts ~probe_parts ~build_keys
-        ~probe_keys ~keep ~emit
-    in
-    Biter.of_rows out_schema (Array.of_list results)
-  end
 
 (* Block nested-loop join: buffer (work_mem - 1) pages of outer tuples, then
    rescan the inner once per block.  Outer batches are cut at the block
@@ -674,7 +836,7 @@ and batch_bnl_join ctx left right cond : Biter.t =
       | None -> outer_done := true
       | Some b -> take (Batch.to_list b)
     done;
-    Array.of_list (List.rev !buf)
+    List.rev !buf
   in
   let inner : Biter.t option ref = ref None in
   let close_inner () =
@@ -682,14 +844,14 @@ and batch_bnl_join ctx left right cond : Biter.t =
     inner := None
   in
   (* Drivers are the inner rows, block by block; each meets the block. *)
-  let block = ref [||] and next_inner = ref (fun () -> None) in
+  let block = ref [] and next_inner = ref (fun () -> None) in
   let rec next_driver () =
     match !next_inner () with
     | Some rt -> Some rt
     | None ->
       close_inner ();
       block := load_block ();
-      if Array.length !block = 0 then None
+      if !block = [] then None
       else begin
         let it = reopen_right () in
         inner := Some it;
@@ -725,9 +887,8 @@ and batch_index_nl_join ctx ~left ~alias ~table ~column ~outer_key ~cond :
   let next_batch =
     nl_batches out_schema ~next_driver:(cursor lbit)
       ~partners:(fun lt ->
-        Array.of_list
-          (List.map (Heap_file.get tbl.Catalog.heap)
-             (Btree.search_eq idx (Tuple.get lt key_idx))))
+        List.map (Heap_file.get tbl.Catalog.heap)
+          (Btree.search_eq idx (Tuple.get lt key_idx)))
       ~pair:Tuple.concat ~keep
   in
   { Biter.schema = out_schema; next_batch; close = lbit.Biter.close }
@@ -757,7 +918,7 @@ and batch_merge_join ctx ~left ~right ~keys ~cond : Biter.t =
       | _ -> ()
     in
     loop ();
-    group := Some (rk, Array.of_list (List.rev !acc))
+    group := Some (rk, List.rev !acc)
   in
   (* The next left row with a right group; the group is then [!group]. *)
   let rec next_driver () =
@@ -782,7 +943,7 @@ and batch_merge_join ctx ~left ~right ~keys ~cond : Biter.t =
   in
   let next_batch =
     nl_batches out_schema ~next_driver
-      ~partners:(fun _ -> match !group with Some (_, rows) -> rows | None -> [||])
+      ~partners:(fun _ -> match !group with Some (_, rows) -> rows | None -> [])
       ~pair:Tuple.concat ~keep
   in
   let close () =
@@ -791,16 +952,17 @@ and batch_merge_join ctx ~left ~right ~keys ~cond : Biter.t =
   in
   { Biter.schema = out_schema; next_batch; close }
 
-(* Sort-group over input sorted on the grouping keys: a group is finished
-   when the first row of the next one arrives.  Each input batch yields the
-   groups it finished. *)
+(* Sort-group over input sorted on the grouping keys: one open group folds
+   rows with the group kernel's cells and is finished when the first row of
+   the next group arrives.  Each input batch yields the groups it
+   finished. *)
 and batch_sort_group ctx (g : Physical.group) : Biter.t =
   let cat = Exec_ctx.catalog ctx in
   let bit = open_batch ctx g.Physical.input in
   let in_schema = bit.Biter.schema in
   let out_schema = Physical.schema cat (Physical.Sort_group g) in
   let key_idx = resolve_all in_schema g.Physical.keys in
-  let fns = agg_arg_fns in_schema g.Physical.aggs in
+  let f = folder in_schema g.Physical.aggs in
   let current = ref None and finished = ref false in
   let rec next_batch () =
     if !finished then None
@@ -808,141 +970,40 @@ and batch_sort_group ctx (g : Physical.group) : Biter.t =
       match bit.Biter.next_batch () with
       | None ->
         finished := true;
-        Option.map
-          (fun (k, states) -> Batch.of_rows out_schema [| finish_group k states |])
-          !current
+        Option.map (fun cur -> Batch.of_rows out_schema [| finish_row f cur |]) !current
       | Some b ->
         let out = ref [] and n = ref 0 in
         Batch.iter
           (fun tup ->
             let k = Tuple.project_arr tup key_idx in
-            match !current with
-            | Some (gk, states) when compare_keys k gk = 0 ->
-              current := Some (gk, step_states states fns tup)
-            | prev ->
-              Option.iter
-                (fun (gk, states) ->
-                  out := finish_group gk states :: !out;
-                  incr n)
-                prev;
-              current := Some (k, step_states (init_states g.Physical.aggs) fns tup))
+            let cur =
+              match !current with
+              | Some cur when compare_keys k cur.key = 0 -> cur
+              | prev ->
+                Option.iter
+                  (fun cur ->
+                    out := finish_row f cur :: !out;
+                    incr n)
+                  prev;
+                let cur = { key = k; cell = Fresh; rank = 0 } in
+                current := Some cur;
+                cur
+            in
+            step f cur tup)
           b;
         if !n = 0 then next_batch () else Some (batch_of_rev out_schema !n !out)
   in
-  let result = { Biter.schema = out_schema; next_batch; close = bit.Biter.close } in
-  if g.Physical.having = [] then result
-  else batch_filter (compile_batch_preds out_schema g.Physical.having) result
+  with_having out_schema g
+    { Biter.schema = out_schema; next_batch; close = bit.Biter.close }
 
 and batch_hash_group ctx (g : Physical.group) : Biter.t =
-  let cat = Exec_ctx.catalog ctx in
   let bit = open_batch ctx g.Physical.input in
   let in_schema = bit.Biter.schema in
-  let out_schema = Physical.schema cat (Physical.Hash_group g) in
-  let key_idx = resolve_all in_schema g.Physical.keys in
-  let fns = agg_arg_fns in_schema g.Physical.aggs in
-  let rows =
-    match key_idx with
-    | [| ki |] ->
-      (* Vectorized single-key grouping: hash the key value itself (no
-         per-row key-tuple allocation) and mutate each group's cells in
-         place — one table probe per row instead of find + replace.
-         Grouping semantics ([Value.compare]-based equality) and first-seen
-         output order match the generic path exactly. *)
-      let order = ref [] in
-      let fns_arr = Array.of_list fns in
-      let naggs = Array.length fns_arr in
-      let step_gen st tup =
-        for j = 0 to naggs - 1 do
-          Array.unsafe_set st j
-            (Aggregate.step (Array.unsafe_get st j)
-               ((Array.unsafe_get fns_arr j) tup))
-        done
-      in
-      (match int_agg_plan in_schema g.Physical.aggs with
-       | Some ia ->
-         (* All aggregates are int COUNT/SUM: a group's cell is a plain
-            [int array] — the hot loop allocates nothing.  A non-Int SUM
-            argument (mis-typed data; [Value.add] would promote the sum to
-            Float) upgrades just that group to generic states rebuilt from
-            its accumulators, so results stay identical either way. *)
-         let table = VH.create 256 in
-         Biter.iter_rows
-           (fun tup ->
-             let k = Array.unsafe_get tup ki in
-             match VH.find_opt table k with
-             | Some cell -> (
-               match !cell with
-               | `Fast acc ->
-                 if int_row_fits ia tup then int_apply ia acc tup
-                 else begin
-                   let st = int_upgrade ia g.Physical.aggs acc in
-                   step_gen st tup;
-                   cell := `Slow st
-                 end
-               | `Slow st -> step_gen st tup)
-             | None ->
-               let cell =
-                 if int_row_fits ia tup then begin
-                   let acc = Array.make naggs 0 in
-                   int_apply ia acc tup;
-                   `Fast acc
-                 end
-                 else begin
-                   let st = Array.of_list (init_states g.Physical.aggs) in
-                   step_gen st tup;
-                   `Slow st
-                 end
-               in
-               VH.add table k (ref cell);
-               order := k :: !order)
-           bit;
-         List.rev_map
-           (fun k ->
-             match !(VH.find table k) with
-             | `Fast acc ->
-               Tuple.concat [| k |]
-                 (Array.init naggs (fun j -> Value.Int (Array.unsafe_get acc j)))
-             | `Slow st -> finish_group [| k |] (Array.to_list st))
-           !order
-       | None ->
-         let table = VH.create 256 in
-         Biter.iter_rows
-           (fun tup ->
-             let k = Array.unsafe_get tup ki in
-             let cell =
-               match VH.find_opt table k with
-               | Some c -> c
-               | None ->
-                 let c = Array.of_list (init_states g.Physical.aggs) in
-                 VH.add table k c;
-                 order := k :: !order;
-                 c
-             in
-             step_gen cell tup)
-           bit;
-         List.rev_map
-           (fun k -> finish_group [| k |] (Array.to_list (VH.find table k)))
-           !order)
-    | _ ->
-      let table = TH.create 256 in
-      let order = ref [] in
-      Biter.iter_rows
-        (fun tup ->
-          let k = Tuple.project_arr tup key_idx in
-          let states =
-            match TH.find_opt table k with
-            | Some s -> s
-            | None ->
-              order := k :: !order;
-              init_states g.Physical.aggs
-          in
-          TH.replace table k (step_states states fns tup))
-        bit;
-      List.rev_map (fun k -> finish_group k (TH.find table k)) !order
+  let t =
+    gtable (folder in_schema g.Physical.aggs) (resolve_all in_schema g.Physical.keys)
   in
-  let result = Biter.of_rows out_schema (Array.of_list rows) in
-  if g.Physical.having = [] then result
-  else batch_filter (compile_batch_preds out_schema g.Physical.having) result
+  Biter.iter (add_batch t) bit;
+  group_output ctx g t
 
 (* ==== morsel-driven parallel path (Physical.Exchange) ==== *)
 
@@ -952,26 +1013,13 @@ and compile_segment ctx plan : segment =
   | Physical.Seq_scan s ->
     let tbl = Catalog.table_exn cat s.table in
     let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
-    let kernels =
-      if s.filter = [] then [] else compile_batch_preds schema s.filter
-    in
-    let fn b =
-      let b = List.fold_left (fun b k -> k b) b kernels in
-      if Batch.is_empty b then None else Some b
-    in
+    let kernels = compile_batch_preds schema s.filter in
     { seg_heap = tbl.Catalog.heap; seg_scan_schema = schema;
-      seg_schema = schema; seg_fn = fn }
+      seg_schema = schema; seg_fn = run_kernels kernels }
   | Physical.Filter f ->
     let seg = compile_segment ctx f.input in
     let kernels = compile_batch_preds seg.seg_schema f.pred in
-    let fn b =
-      match seg.seg_fn b with
-      | None -> None
-      | Some b ->
-        let b = List.fold_left (fun b k -> k b) b kernels in
-        if Batch.is_empty b then None else Some b
-    in
-    { seg with seg_fn = fn }
+    { seg with seg_fn = (fun b -> Option.bind (seg.seg_fn b) (run_kernels kernels)) }
   | Physical.Project p ->
     let seg = compile_segment ctx p.input in
     let fns =
@@ -996,33 +1044,15 @@ and compile_segment ctx plan : segment =
     let seg = compile_segment ctx probe_plan in
     (* The build side is evaluated once, serially, on the consuming domain
        (it may be an arbitrary plan). *)
-    let build_bit = open_batch ctx build_inner in
-    let build_schema = build_bit.Biter.schema in
-    let build_rows = Biter.to_list build_bit in
-    let build_pages =
-      Page.pages_for ~rows:(List.length build_rows)
-        ~row_bytes:(Schema.byte_width build_schema)
+    let b =
+      hash_build ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side
+        (open_batch ctx build_inner) ~probe_schema:seg.seg_schema
     in
     (* A spilling (grace) build has no parallel form with identical output
        order; the caller falls back to the serial plan. *)
-    if build_pages > Exec_ctx.work_mem ctx then raise Unsupported_segment;
-    let probe_schema = seg.seg_schema in
-    let out_schema, emit, build_keys, probe_keys =
-      match j.build_side with
-      | `Right ->
-        ( Schema.append probe_schema build_schema,
-          (fun pt bt -> Tuple.concat pt bt),
-          resolve_all build_schema (List.map snd j.keys),
-          resolve_all probe_schema (List.map fst j.keys) )
-      | `Left ->
-        ( Schema.append build_schema probe_schema,
-          (fun pt bt -> Tuple.concat bt pt),
-          resolve_all build_schema (List.map fst j.keys),
-          resolve_all probe_schema (List.map snd j.keys) )
-    in
-    let keep = compile_preds out_schema j.cond in
+    if not b.in_memory then raise Unsupported_segment;
     let tables =
-      if nparts = 1 then [| build_hash_table build_keys build_rows |]
+      if nparts = 1 then [| build_hash_table b.build_keys b.rows |]
       else begin
         (* Partitioned parallel build: a key's rows all hash to one
            partition and keep their input order there, so each slice's
@@ -1030,9 +1060,9 @@ and compile_segment ctx plan : segment =
         let parts = Array.make nparts [] in
         List.iter
           (fun bt ->
-            let p = part_hash nparts build_keys bt in
+            let p = part_hash nparts b.build_keys bt in
             parts.(p) <- bt :: parts.(p))
-          build_rows;
+          b.rows;
         let parts = Array.map List.rev parts in
         let tabs = Array.map (fun _ -> TH.create 0) parts in
         let (_ : unit array * Exchange.wstats array) =
@@ -1042,7 +1072,7 @@ and compile_segment ctx plan : segment =
                 match claim () with
                 | None -> ()
                 | Some p ->
-                  tabs.(p) <- build_hash_table build_keys parts.(p);
+                  tabs.(p) <- build_hash_table b.build_keys parts.(p);
                   loop ()
               in
               loop ())
@@ -1051,34 +1081,26 @@ and compile_segment ctx plan : segment =
         tabs
       end
     in
-    let lookup pt =
-      let k = Tuple.project_arr pt probe_keys in
-      let tbl =
-        if nparts = 1 then tables.(0)
-        else tables.((Tuple_key.hash k land max_int) mod nparts)
-      in
-      match TH.find_opt tbl k with None -> [] | Some bts -> bts
+    let table_of pt =
+      if nparts = 1 then tables.(0) else tables.(part_hash nparts b.probe_keys pt)
     in
-    let fn b =
-      match seg.seg_fn b with
-      | None -> None
-      | Some pb ->
-        let out = ref [] in
-        let n = ref 0 in
-        Batch.iter
-          (fun pt ->
-            List.iter
-              (fun bt ->
-                let o = emit pt bt in
-                if keep o then begin
-                  out := o :: !out;
-                  incr n
-                end)
-              (lookup pt))
-          pb;
-        if !n = 0 then None else Some (batch_of_rev out_schema !n !out)
+    (* One output batch per morsel, however many matches its rows have. *)
+    let fn pb =
+      let out = ref [] and n = ref 0 in
+      Batch.iter
+        (fun pt ->
+          List.iter
+            (fun bt ->
+              let o = b.pair pt bt in
+              if b.keep o then begin
+                out := o :: !out;
+                incr n
+              end)
+            (probe_hits (table_of pt) b.probe_keys pt))
+        pb;
+      if !n = 0 then None else Some (batch_of_rev b.out_schema !n !out)
     in
-    { seg with seg_schema = out_schema; seg_fn = fn }
+    { seg with seg_schema = b.out_schema; seg_fn = (fun b -> Option.bind (seg.seg_fn b) fn) }
   | _ -> raise Unsupported_segment
 
 (* Exchange as a streaming operator: workers run the segment morsel-wise,
@@ -1091,247 +1113,68 @@ and open_exchange ctx ~dop input : Biter.t =
     match compile_segment ctx input with
     | exception Unsupported_segment -> open_batch ctx input
     | seg ->
-      let npages, ppb, n_morsels = morsel_geometry seg.seg_heap in
-      let morsel ~wid:_ _wctx m =
-        let p0 = m * ppb in
-        let np = min ppb (npages - p0) in
-        let rows, lo, len =
-          Heap_file.scan_segment seg.seg_heap ~page:p0 ~npages:np
-        in
-        seg.seg_fn (Batch.of_segment seg.seg_scan_schema rows ~lo ~len)
-      in
+      let n_morsels, morsel = segment_morsels seg in
       let on_done = worker_profile_nodes ctx ~dop in
-      Exchange.gather ~ctx ~dop ~schema:seg.seg_schema ~n_morsels ~morsel
+      Exchange.gather ~ctx ~dop ~schema:seg.seg_schema ~n_morsels
+        ~morsel:(fun ~wid:_ _wctx m -> morsel m)
         ?on_done ()
 
 (* Hash group over an exchange: each worker folds its morsels into a
-   private partial-aggregate table; the consumer merges the partials with
-   [Aggregate.merge] (the same partial algebra the matview extents use)
-   and orders groups by their first appearance in the serial stream, so
-   output is byte-identical to the serial operator. *)
+   private group table, and the consumer merges the tables.  A row's rank
+   is its (morsel, position) — its place in the serial stream — so the
+   merged table emits groups in the serial operator's order and the output
+   is byte-identical to it. *)
 and open_parallel_group ctx (g : Physical.group) ~dop input : Biter.t =
-  let cat = Exec_ctx.catalog ctx in
   let seg = compile_segment ctx input in
-  let in_schema = seg.seg_schema in
-  let out_schema = Physical.schema cat (Physical.Hash_group g) in
-  let key_idx = resolve_all in_schema g.Physical.keys in
-  let fns = agg_arg_fns in_schema g.Physical.aggs in
-  let npages, ppb, n_morsels = morsel_geometry seg.seg_heap in
+  let f = folder seg.seg_schema g.Physical.aggs in
+  let key_idx = resolve_all seg.seg_schema g.Physical.keys in
+  let n_morsels, morsel = segment_morsels seg in
   (* The exchange is fused into this operator, but observability should
      still show it: mirror it as a profile child with per-worker nodes. *)
-  let xnode, on_done =
+  let on_done =
     match Exec_ctx.profiler ctx with
-    | None -> (None, None)
+    | None -> None
     | Some prof ->
       let xn =
         Profile.enter prof (Physical.op_name (Physical.Exchange { input; dop }))
       in
       let fill = worker_profile_nodes ctx ~dop in
       Profile.leave prof;
-      (Some xn, fill)
+      Some
+        (fun stats ->
+          Option.iter (fun fill -> fill stats) fill;
+          Array.iter
+            (fun (ws : Exchange.wstats) ->
+              let io = ws.Exchange.wio in
+              xn.Profile.rows_out <- xn.Profile.rows_out + ws.Exchange.wrows;
+              xn.Profile.batches <- xn.Profile.batches + ws.Exchange.wbatches;
+              xn.Profile.ms <- Float.max xn.Profile.ms ws.Exchange.wms;
+              xn.Profile.reads <- xn.Profile.reads + io.Buffer_pool.reads;
+              xn.Profile.writes <- xn.Profile.writes + io.Buffer_pool.writes;
+              xn.Profile.hits <- xn.Profile.hits + io.Buffer_pool.hits)
+            stats)
   in
-  let scan_morsel m =
-    let p0 = m * ppb in
-    let np = min ppb (npages - p0) in
-    let rows, lo, len = Heap_file.scan_segment seg.seg_heap ~page:p0 ~npages:np in
-    seg.seg_fn (Batch.of_segment seg.seg_scan_schema rows ~lo ~len)
+  let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
+    let t = gtable f key_idx in
+    let rec loop () =
+      match claim () with
+      | None -> t
+      | Some m ->
+        Option.iter
+          (fun b ->
+            (* Rank = (morsel, position in it), packed into one int. *)
+            t.next_rank <- m lsl 32;
+            add_batch t b;
+            ws.Exchange.wrows <- ws.Exchange.wrows + Batch.live b;
+            ws.Exchange.wbatches <- ws.Exchange.wbatches + 1)
+          (morsel m);
+        loop ()
+    in
+    loop ()
   in
-  (* Worker partial tables record, per group, the aggregate partial plus
-     the group's first (morsel, row position) — the row's rank in the
-     serial stream — so ordering merged groups by the minimum (m, pos)
-     reproduces the serial first-seen output order. *)
-  let rows, wstats =
-    match key_idx, int_agg_plan in_schema g.Physical.aggs with
-    | [| ki |], Some ia ->
-      (* Unboxed fast path, mirroring the serial single-int-key kernel:
-         each group's partial is a plain [int array] until a mis-typed row
-         upgrades it to generic states; partials merge by elementwise
-         addition (or [Aggregate.merge] once upgraded). *)
-      let fns_arr = Array.of_list fns in
-      let naggs = Array.length fns_arr in
-      let step_gen st tup =
-        for j = 0 to naggs - 1 do
-          Array.unsafe_set st j
-            (Aggregate.step (Array.unsafe_get st j)
-               ((Array.unsafe_get fns_arr j) tup))
-        done
-      in
-      let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
-        let table = VH.create 256 in
-        let rec loop () =
-          match claim () with
-          | None -> ()
-          | Some m ->
-            (match scan_morsel m with
-             | None -> ()
-             | Some b ->
-               let pos = ref 0 in
-               Batch.iter
-                 (fun tup ->
-                   let k = Array.unsafe_get tup ki in
-                   (match VH.find_opt table k with
-                    | Some (cell, _, _) -> (
-                      match !cell with
-                      | `Fast acc ->
-                        if int_row_fits ia tup then int_apply ia acc tup
-                        else begin
-                          let st = int_upgrade ia g.Physical.aggs acc in
-                          step_gen st tup;
-                          cell := `Slow st
-                        end
-                      | `Slow st -> step_gen st tup)
-                    | None ->
-                      let cell =
-                        if int_row_fits ia tup then begin
-                          let acc = Array.make naggs 0 in
-                          int_apply ia acc tup;
-                          `Fast acc
-                        end
-                        else begin
-                          let st = Array.of_list (init_states g.Physical.aggs) in
-                          step_gen st tup;
-                          `Slow st
-                        end
-                      in
-                      VH.add table k (ref cell, m, !pos));
-                   incr pos;
-                   ws.Exchange.wrows <- ws.Exchange.wrows + 1)
-                 b;
-               ws.Exchange.wbatches <- ws.Exchange.wbatches + 1);
-            loop ()
-        in
-        loop ();
-        table
-      in
-      let tables, wstats =
-        Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done ()
-      in
-      let to_states = function
-        | `Fast acc -> int_upgrade ia g.Physical.aggs acc
-        | `Slow st -> st
-      in
-      let merged = VH.create 256 in
-      Array.iter
-        (fun t ->
-          VH.iter
-            (fun k (cell, m, p) ->
-              match VH.find_opt merged k with
-              | None -> VH.replace merged k (!cell, m, p)
-              | Some (c0, m0, p0) ->
-                (* Earlier-stream partial first, like the serial fold. *)
-                let a, b, fm, fp =
-                  if (m0, p0) <= (m, p) then (c0, !cell, m0, p0)
-                  else (!cell, c0, m, p)
-                in
-                let c =
-                  match a, b with
-                  | `Fast x, `Fast y ->
-                    `Fast (Array.init naggs (fun j -> x.(j) + y.(j)))
-                  | _ ->
-                    let sa = to_states a and sb = to_states b in
-                    `Slow (Array.init naggs (fun j ->
-                               Aggregate.merge sa.(j) sb.(j)))
-                in
-                VH.replace merged k (c, fm, fp))
-            t)
-        tables;
-      let entries =
-        List.sort
-          (fun (_, _, m1, p1) (_, _, m2, p2) -> compare (m1, p1) (m2, p2))
-          (VH.fold (fun k (c, m, p) acc -> (k, c, m, p) :: acc) merged [])
-      in
-      let rows =
-        Array.of_list
-          (List.map
-             (fun (k, c, _, _) ->
-               match c with
-               | `Fast acc ->
-                 Tuple.concat [| k |]
-                   (Array.init naggs (fun j -> Value.Int acc.(j)))
-               | `Slow st -> finish_group [| k |] (Array.to_list st))
-             entries)
-      in
-      (rows, wstats)
-    | _ ->
-      let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
-        let table : (Aggregate.state list ref * int * int) TH.t =
-          TH.create 256
-        in
-        let rec loop () =
-          match claim () with
-          | None -> ()
-          | Some m ->
-            (match scan_morsel m with
-             | None -> ()
-             | Some b ->
-               let pos = ref 0 in
-               Batch.iter
-                 (fun tup ->
-                   let k = Tuple.project_arr tup key_idx in
-                   (match TH.find_opt table k with
-                    | Some (states, _, _) ->
-                      states := step_states !states fns tup
-                    | None ->
-                      TH.add table k
-                        ( ref (step_states (init_states g.Physical.aggs) fns tup),
-                          m, !pos ));
-                   incr pos;
-                   ws.Exchange.wrows <- ws.Exchange.wrows + 1)
-                 b;
-               ws.Exchange.wbatches <- ws.Exchange.wbatches + 1);
-            loop ()
-        in
-        loop ();
-        table
-      in
-      let tables, wstats =
-        Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done ()
-      in
-      let merged : (Aggregate.state list * int * int) TH.t = TH.create 256 in
-      Array.iter
-        (fun t ->
-          TH.iter
-            (fun k (states, m, p) ->
-              match TH.find_opt merged k with
-              | None -> TH.replace merged k (!states, m, p)
-              | Some (states0, m0, p0) ->
-                (* Merge earlier-stream partial first, so any
-                   order-sensitive tie in [Aggregate.merge] resolves like
-                   the serial fold. *)
-                let a, b, fm, fp =
-                  if (m0, p0) <= (m, p) then (states0, !states, m0, p0)
-                  else (!states, states0, m, p)
-                in
-                TH.replace merged k (List.map2 Aggregate.merge a b, fm, fp))
-            t)
-        tables;
-      let entries =
-        List.sort
-          (fun (_, _, m1, p1) (_, _, m2, p2) -> compare (m1, p1) (m2, p2))
-          (TH.fold (fun k (states, m, p) acc -> (k, states, m, p) :: acc)
-             merged [])
-      in
-      let rows =
-        Array.of_list
-          (List.map (fun (k, states, _, _) -> finish_group k states) entries)
-      in
-      (rows, wstats)
-  in
-  (match xnode with
-   | Some xn ->
-     Array.iter
-       (fun (ws : Exchange.wstats) ->
-         xn.Profile.rows_out <- xn.Profile.rows_out + ws.Exchange.wrows;
-         xn.Profile.batches <- xn.Profile.batches + ws.Exchange.wbatches;
-         xn.Profile.ms <- Float.max xn.Profile.ms ws.Exchange.wms;
-         xn.Profile.reads <- xn.Profile.reads + ws.Exchange.wio.Buffer_pool.reads;
-         xn.Profile.writes <- xn.Profile.writes + ws.Exchange.wio.Buffer_pool.writes;
-         xn.Profile.hits <- xn.Profile.hits + ws.Exchange.wio.Buffer_pool.hits)
-       wstats
-   | None -> ());
-  let result = Biter.of_rows out_schema rows in
-  if g.Physical.having = [] then result
-  else batch_filter (compile_batch_preds out_schema g.Physical.having) result
+  let tables, _ = Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done () in
+  Array.iteri (fun i t -> if i > 0 then merge tables.(0) t) tables;
+  group_output ctx g tables.(0)
 
 let run ctx plan =
   (* Temps must be released even when an operator raises mid-pipeline

@@ -174,14 +174,17 @@ let limit_eager_close () =
   bit.Biter.close ();
   Exec_ctx.cleanup ctx
 
-(* ---- nested-loop and merge joins emit bounded batches ----
+(* ---- joins emit bounded batches ----
 
    A block nested-loop cross product pairs every inner row with a block of
    (work_mem - 1) pages of outer rows, an index nested-loop join pairs
-   every outer row with all its matches, and a merge join pairs every left
-   row with its key's right group; none may hand out more than
-   [Batch.default_rows] rows at once.  Closing mid-stream drops the BNL's
-   spooled inner and the merge join's sort runs. *)
+   every outer row with all its matches, a merge join pairs every left row
+   with its key's right group, and a hash join pairs every probe row with
+   its key's build rows; none may hand out more than [Batch.default_rows]
+   rows at once.  The in-memory hash join holds no temp while it streams;
+   the spilling one holds its unread partitions.  Closing mid-stream drops
+   the BNL's spooled inner, the merge join's sort runs and the grace join's
+   partitions. *)
 
 let joins_bounded_batches () =
   let cat = Tpcd.load () in
@@ -205,6 +208,20 @@ let joins_bounded_batches () =
         Physical.Merge_join
           { left = by_ck "a"; right = by_ck "b";
             keys = [ (col "a" "ck", col "b" "ck") ]; cond = [] } );
+      ( "in-memory hash join, ~20 build rows per key",
+        Physical.Hash_join
+          { left = scan "c" "customer";
+            right =
+              Physical.Seq_scan
+                { alias = "d"; table = "customer";
+                  filter = [ Expr.Cmp (Expr.Lt, Expr.Col (col "d" "ck"), Expr.int 200) ] };
+            keys = [ (col "c" "nation", col "d" "nation") ]; cond = [];
+            build_side = `Right } );
+      ( "spilling hash join",
+        Physical.Hash_join
+          { left = scan "o" "orders"; right = scan "l" "lineitem";
+            keys = [ (col "o" "ok", col "l" "ok") ]; cond = [];
+            build_side = `Left } );
     ]
   in
   List.iter
@@ -219,6 +236,12 @@ let joins_bounded_batches () =
             (Printf.sprintf "%s: batch %d is full, not larger" name i)
             Batch.default_rows (Batch.live b)
       done;
+      (match plan with
+       | Physical.Hash_join _ ->
+         Alcotest.(check bool) (name ^ ": temps held mid-stream")
+           (name = "spilling hash join")
+           (Exec_ctx.live_temps ctx > 0)
+       | _ -> ());
       bit.Biter.close ();
       Alcotest.(check int) (name ^ ": no temps left") 0 (Exec_ctx.live_temps ctx);
       Exec_ctx.cleanup ctx)

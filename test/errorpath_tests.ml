@@ -38,8 +38,10 @@ let sort_on q input = Physical.Sort { input; cols = [ c ~q "v" ]; desc = [] }
 let scan q = Physical.Seq_scan { alias = q; table = "r"; filter = [] }
 
 (* Operators that hold temps mid-run, each with [a.v] in its output: the
-   sort itself, and one plan per join or group that walks its input row by
-   row — over a spilling sort, or (BNL) against a spooled inner. *)
+   sort itself, one plan per join or group that walks its input row by
+   row — over a spilling sort, or (BNL) against a spooled inner — and a
+   hash join whose build side exceeds work_mem and streams its result
+   partition by partition from spilled temps. *)
 let temp_holding_plans =
   [
     ("sort", spilling_sort);
@@ -55,6 +57,10 @@ let temp_holding_plans =
       Physical.Merge_join
         { left = spilling_sort; right = sort_on "b" (scan "b");
           keys = [ (c ~q:"a" "v", c ~q:"b" "v") ]; cond = [] } );
+    ( "grace hash join",
+      Physical.Hash_join
+        { left = scan "a"; right = scan "b"; keys = [ (c ~q:"a" "v", c ~q:"b" "v") ];
+          cond = []; build_side = `Right } );
     ( "sort-group",
       Physical.Sort_group
         { input = spilling_sort; agg_qual = "g"; keys = [ c ~q:"a" "v" ];
