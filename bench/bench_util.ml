@@ -150,7 +150,6 @@ let rec count_joins = function
   | Physical.Materialize m -> count_joins m.input
   | Physical.Limit l -> count_joins l.input
   | Physical.Exchange e -> count_joins e.input
-  | Physical.Repartition r -> count_joins r.input
 
 let rec count_groups = function
   | Physical.Hash_group g | Physical.Sort_group g -> 1 + count_groups g.input
@@ -165,7 +164,6 @@ let rec count_groups = function
   | Physical.Materialize m -> count_groups m.input
   | Physical.Limit l -> count_groups l.input
   | Physical.Exchange e -> count_groups e.input
-  | Physical.Repartition r -> count_groups r.input
 
 (* Inputs of the topmost group-by operators. *)
 let rec top_group_inputs = function
@@ -181,7 +179,6 @@ let rec top_group_inputs = function
   | Physical.Materialize m -> top_group_inputs m.input
   | Physical.Limit l -> top_group_inputs l.input
   | Physical.Exchange e -> top_group_inputs e.input
-  | Physical.Repartition r -> top_group_inputs r.input
 
 (* Compact shape signature: (#groups, joins below the topmost group-bys,
    joins above them).  "Joins above > 0" means group-bys were evaluated

@@ -49,8 +49,3 @@ val optimize : Catalog.t -> work_mem:int -> input -> entry
 (** Best finalized plan for the whole block: the group-by (if any) is
     guaranteed applied — early, partially+combined, or on top.
     @raise Invalid_argument on an empty item list. *)
-
-val finish_partial :
-  Grouping.group_spec -> Grouping.coalesce -> Physical.t -> Physical.t
-(** Append the combining group-by (plus AVG recombination projection and the
-    Having filter) to a plan that already contains the partial group-by. *)

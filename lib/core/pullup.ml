@@ -48,23 +48,3 @@ let rewrite cat tree =
   | Logical.Scan _ | Logical.Filter _ | Logical.Join _ | Logical.Group _
   | Logical.Project _ ->
     None
-
-let rec rewrite_anywhere cat tree =
-  match rewrite cat tree with
-  | Some t -> Some t
-  | None -> (
-    let try_child build child =
-      Option.map build (rewrite_anywhere cat child)
-    in
-    match tree with
-    | Logical.Filter f ->
-      try_child (fun input -> Logical.Filter { f with input }) f.input
-    | Logical.Project p ->
-      try_child (fun input -> Logical.Project { p with input }) p.input
-    | Logical.Group g ->
-      try_child (fun input -> Logical.Group { g with input }) g.input
-    | Logical.Join j -> (
-      match rewrite_anywhere cat j.left with
-      | Some left -> Some (Logical.Join { j with left })
-      | None -> try_child (fun right -> Logical.Join { j with right }) j.right)
-    | Logical.Scan _ -> None)

@@ -24,6 +24,3 @@
 
 val rewrite : Catalog.t -> Logical.t -> Logical.t option
 (** [None] when the tree does not have the P1 shape or R2 lacks a key. *)
-
-val rewrite_anywhere : Catalog.t -> Logical.t -> Logical.t option
-(** Apply {!rewrite} at the topmost matching node of the tree. *)

@@ -53,7 +53,6 @@ let rec equi_pairs = function
   | Physical.Hash_group g | Physical.Sort_group g -> equi_pairs g.input
   | Physical.Limit l -> equi_pairs l.input
   | Physical.Exchange e -> equi_pairs e.input
-  | Physical.Repartition r -> equi_pairs r.input
   | Physical.Seq_scan _ | Physical.Index_scan _ -> []
 
 (* Estimated post-filter cardinality of the scan providing [alias]. *)
@@ -94,8 +93,12 @@ let rec scan_rows cat env alias = function
   | Physical.Hash_group g | Physical.Sort_group g -> scan_rows cat env alias g.input
   | Physical.Limit l -> scan_rows cat env alias l.input
   | Physical.Exchange e -> scan_rows cat env alias e.input
-  | Physical.Repartition r -> scan_rows cat env alias r.input
 
+(* Plan-aware group count used by [estimate]: NDVs are capped by the
+   filtered cardinality of the scan each key column comes from, grouping
+   columns connected by the subplan's equi-join predicates count once
+   (equivalence classes), and columns functionally determined by a primary
+   key already among the keys are dropped. *)
 let group_rows_in_plan cat env ~input_rows input keys =
   if keys = [] then Float.min 1. input_rows
   else begin
@@ -391,10 +394,6 @@ and est_node cat env ~work_mem plan =
       +. (((parallel_fraction /. d) +. (1. -. parallel_fraction)) *. e.cost)
     in
     { e with cost }
-  | Physical.Repartition r ->
-    (* The build rows are materialized once either way; hashing them into
-       dop partitions is CPU work the page-IO model does not count. *)
-    recur r.input
 
 let pp_est ppf e =
   Format.fprintf ppf "rows=%.1f width=%dB pages=%.1f cost=%.1f" e.rows e.width

@@ -40,19 +40,6 @@ val group_rows : Selectivity.env -> input_rows:float -> Schema.column list -> fl
 (** Estimated group count for a GROUP BY over the given keys (naive
     product-of-NDVs form). *)
 
-val group_rows_in_plan :
-  Catalog.t ->
-  Selectivity.env ->
-  input_rows:float ->
-  Physical.t ->
-  Schema.column list ->
-  float
-(** Plan-aware group count used by {!estimate}: NDVs are capped by the
-    filtered cardinality of the scan each key column comes from, grouping
-    columns connected by the subplan's equi-join predicates count once
-    (equivalence classes), and columns functionally determined by a primary
-    key already among the keys are dropped. *)
-
 val pages_of : rows:float -> width:int -> float
 
 val plan_aware_grouping : bool ref

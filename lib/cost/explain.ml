@@ -18,7 +18,6 @@ let node_label = function
   | Physical.Materialize _ -> "Materialize"
   | Physical.Limit l -> Printf.sprintf "Limit %d" l.count
   | Physical.Exchange e -> Printf.sprintf "Exchange dop=%d" e.dop
-  | Physical.Repartition r -> Printf.sprintf "Repartition dop=%d" r.dop
 
 let children = Physical.inputs
 

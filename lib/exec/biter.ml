@@ -15,11 +15,6 @@ let once close =
       close ()
     end
 
-let guard t = { t with close = once t.close }
-
-let empty schema =
-  { schema; next_batch = (fun () -> None); close = (fun () -> ()) }
-
 let of_batches schema batches =
   let pending = ref batches in
   let next_batch () =

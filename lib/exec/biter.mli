@@ -10,14 +10,8 @@ type t = {
   close : unit -> unit;
 }
 
-val empty : Schema.t -> t
-
 val once : (unit -> unit) -> unit -> unit
 (** Make a close function idempotent (second and later calls are no-ops). *)
-
-val guard : t -> t
-(** [guard t] is [t] with an idempotent [close], so an operator's eager
-    close (e.g. [Limit]) composes with the outer drain's close. *)
 
 val of_batches : Schema.t -> Batch.t list -> t
 val of_rows : Schema.t -> Tuple.t array -> t

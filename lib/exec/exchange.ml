@@ -205,6 +205,31 @@ let fold ~ctx ~dop ~n_morsels ~worker ?on_done () =
 
 (* ---- streaming gather: resequencing consumer ---- *)
 
+let count_out ws batches =
+  List.iter
+    (fun b ->
+      ws.wrows <- ws.wrows + Batch.live b;
+      ws.wbatches <- ws.wbatches + 1)
+    batches
+
+(* Serve the morsels' batch lists one batch at a time: [next_morsel]
+   returns the next morsel's batches in order, [None] at the end. *)
+let flatten ~schema ~next_morsel ~close : Biter.t =
+  let pending = ref [] in
+  let rec next_batch () =
+    match !pending with
+    | b :: rest ->
+      pending := rest;
+      Some b
+    | [] -> (
+      match next_morsel () with
+      | None -> None
+      | Some bs ->
+        pending := bs;
+        next_batch ())
+  in
+  { Biter.schema; next_batch; close }
+
 (* dop-1 gather: the leader claims and evaluates morsels lazily in
    [next_batch], on its own domain — no spawn, no queue, no resequencing
    (a single claimer is already in order) and no IO re-crediting. *)
@@ -221,7 +246,7 @@ let gather_inline ~ctx ~schema ~n_morsels ~morsel ?on_done () : Biter.t =
       match on_done with Some f -> f [| ws |] | None -> ()
     end
   in
-  let rec next_batch () =
+  let next_morsel () =
     if !next >= n_morsels then begin
       finish ();
       None
@@ -233,29 +258,26 @@ let gather_inline ~ctx ~schema ~n_morsels ~morsel ?on_done () : Biter.t =
         incr next;
         let t0 = Unix.gettimeofday () in
         let before = Storage.io_snapshot storage in
-        let b = morsel ~wid:0 wctx m in
+        let bs = morsel ~wid:0 wctx m in
         ws.wms <- ws.wms +. ((Unix.gettimeofday () -. t0) *. 1000.);
         ws.wio <- io_add ws.wio (Storage.io_since storage before);
-        b
+        bs
       with
-      | Some batch ->
-        ws.wrows <- ws.wrows + Batch.live batch;
-        ws.wbatches <- ws.wbatches + 1;
-        Some batch
-      | None -> next_batch ()
+      | bs ->
+        count_out ws bs;
+        Some bs
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         finish ();
         Printexc.raise_with_backtrace e bt
     end
   in
-  let close () = finish () in
-  { Biter.schema; next_batch; close }
+  flatten ~schema ~next_morsel ~close:finish
 
 let gather_team ~ctx ~dop ~schema ~n_morsels
-    ~(morsel : wid:int -> Exec_ctx.t -> int -> Batch.t option) ?on_done () :
+    ~(morsel : wid:int -> Exec_ctx.t -> int -> Batch.t list) ?on_done () :
     Biter.t =
-  let q : (int * Batch.t option) Mpmc.t = Mpmc.create (2 * dop) in
+  let q : (int * Batch.t list) Mpmc.t = Mpmc.create (2 * dop) in
   let active = Atomic.make dop in
   let team =
     spawn ~ctx ~dop ~n_morsels ~worker:(fun ~wid ~stats:ws wctx ~claim ->
@@ -269,15 +291,11 @@ let gather_team ~ctx ~dop ~schema ~n_morsels
               match claim () with
               | None -> ()
               | Some m ->
-                let b = morsel ~wid wctx m in
-                (match b with
-                 | Some batch ->
-                   ws.wrows <- ws.wrows + Batch.live batch;
-                   ws.wbatches <- ws.wbatches + 1
-                 | None -> ());
+                let bs = morsel ~wid wctx m in
+                count_out ws bs;
                 (* Empty morsels are pushed too, so the resequencer can
                    advance past them. *)
-                Mpmc.push q (m, b);
+                Mpmc.push q (m, bs);
                 loop ()
             in
             loop ()))
@@ -286,7 +304,7 @@ let gather_team ~ctx ~dop ~schema ~n_morsels
      and emit strictly in index order.  The map is unbounded, so the queue
      always drains no matter how far out of order workers complete — a
      bounded queue plus in-order blocking pops would deadlock. *)
-  let pending : (int, Batch.t option) Hashtbl.t = Hashtbl.create 64 in
+  let pending : (int, Batch.t list) Hashtbl.t = Hashtbl.create 64 in
   let next_seq = ref 0 in
   let finished = ref false in
   let finish () =
@@ -298,22 +316,22 @@ let gather_team ~ctx ~dop ~schema ~n_morsels
       raise_if_error team
     end
   in
-  let rec next_batch () =
+  let rec next_morsel () =
     if !next_seq >= n_morsels then begin
       finish ();
       None
     end
     else
       match Hashtbl.find_opt pending !next_seq with
-      | Some b ->
+      | Some bs ->
         Hashtbl.remove pending !next_seq;
         incr next_seq;
-        (match b with Some _ as r -> r | None -> next_batch ())
+        Some bs
       | None -> (
         match Mpmc.pop q with
-        | Some (m, b) ->
-          Hashtbl.replace pending m b;
-          next_batch ()
+        | Some (m, bs) ->
+          Hashtbl.replace pending m bs;
+          next_morsel ()
         | None ->
           (* Closed and drained with morsels still missing: a worker died or
              the stream was stopped.  Surface the first error, else end. *)
@@ -325,7 +343,7 @@ let gather_team ~ctx ~dop ~schema ~n_morsels
     Mpmc.close q;
     try finish () with _ -> ()
   in
-  { Biter.schema; next_batch; close }
+  flatten ~schema ~next_morsel ~close
 
 let gather ~ctx ~dop ~schema ~n_morsels ~morsel ?on_done () : Biter.t =
   let dop = clamp_dop dop in
@@ -363,34 +381,6 @@ let rec segment_ok = function
     segment_ok (match j.build_side with `Left -> j.right | `Right -> j.left)
   | _ -> false
 
-(* Mark every hash-join build side in the segment for partitioned parallel
-   build. *)
-let rec mark_builds ~dop = function
-  | Physical.Filter f -> Physical.Filter { f with input = mark_builds ~dop f.input }
-  | Physical.Project p ->
-    Physical.Project { p with input = mark_builds ~dop p.input }
-  | Physical.Hash_join j ->
-    (match j.build_side with
-     | `Right ->
-       Physical.Hash_join
-         {
-           j with
-           left = mark_builds ~dop j.left;
-           right =
-             Physical.Repartition
-               { input = j.right; dop; keys = List.map snd j.keys };
-         }
-     | `Left ->
-       Physical.Hash_join
-         {
-           j with
-           right = mark_builds ~dop j.right;
-           left =
-             Physical.Repartition
-               { input = j.left; dop; keys = List.map fst j.keys };
-         })
-  | leaf -> leaf
-
 (* Insert (at most) one [Exchange] at the widest eligible point of the
    plan: directly under a hash group whose input is a parallel segment (the
    executor then runs partial aggregation on the workers and merges), or
@@ -399,7 +389,7 @@ let rec mark_builds ~dop = function
    and through outer group-bys. *)
 let parallelize ~dop plan =
   let dop = clamp_dop dop in
-  let wrap seg = Physical.Exchange { input = mark_builds ~dop seg; dop } in
+  let wrap seg = Physical.Exchange { input = seg; dop } in
   let rec go plan =
     if segment_ok plan then wrap plan
     else

@@ -1,6 +1,5 @@
 (** Morsel-driven intra-query parallelism: the worker-team and queue
-    machinery behind the [Physical.Exchange] / [Physical.Repartition]
-    operators.
+    machinery behind the [Physical.Exchange] operator.
 
     The morsel unit is one batch worth of heap pages (1024 rows); workers
     claim morsel indices from a shared atomic cursor, so the parallel scan
@@ -17,7 +16,6 @@
     cancellation token and deadline, and clean their own temps before the
     domain exits. *)
 
-val max_dop : int
 val clamp_dop : int -> int
 
 (** Per-worker counters, surfaced as [worker-<i>] children of the exchange
@@ -51,13 +49,15 @@ val gather :
   dop:int ->
   schema:Schema.t ->
   n_morsels:int ->
-  morsel:(wid:int -> Exec_ctx.t -> int -> Batch.t option) ->
+  morsel:(wid:int -> Exec_ctx.t -> int -> Batch.t list) ->
   ?on_done:(wstats array -> unit) ->
   unit ->
   Biter.t
 (** Streaming produce/consume over a bounded MPMC queue: workers evaluate
-    [morsel] per claimed index ([None] = the morsel filtered to nothing)
-    and the returned iterator emits the surviving batches in morsel order.
+    [morsel] per claimed index into its output batches ([[]] = the morsel
+    filtered to nothing), and the returned iterator emits them in morsel
+    order.  The batches are queued, so they must not share an array their
+    producer reuses.
     [on_done] fires on the consuming domain once all workers have joined
     (before any error is re-raised).  Closing the iterator early stops the
     workers and drains the queue. *)
@@ -70,12 +70,12 @@ val parallel_group_ok : Aggregate.t list -> bool
 val segment_ok : Physical.t -> bool
 (** Whether the plan is a morsel pipeline workers can evaluate
     independently: a heap scan driving filters, projections and hash-join
-    probes (build sides are evaluated once up front and may be anything). *)
+    probes.  Each build side may be any plan; it is evaluated once, before
+    the workers start, into one table they share.  A build that does not
+    fit in work_mem makes the executor run the segment serially. *)
 
 val parallelize : dop:int -> Physical.t -> Physical.t
 (** Insert (at most) one [Exchange] at the widest eligible point of the
-    plan and mark hash-join build sides inside the segment with
-    [Repartition].  Plans with no eligible segment are returned
-    unchanged. *)
+    plan.  Plans with no eligible segment are returned unchanged. *)
 
 val has_exchange : Physical.t -> bool

@@ -354,9 +354,9 @@ let cursor (bit : Biter.t) =
   in
   next
 
-(* The output loop of every join but the morsel probe: each driver row
-   from [next_driver] meets, in order, the rows [partners d] returns, and
-   [pair d p] is emitted when [keep] accepts it, in batches of at most
+(* The output loop of every join: each driver row from [next_driver]
+   meets, in order, the rows [partners d] returns, and [pair d p] is
+   emitted when [keep] accepts it, in batches of at most
    [Batch.default_rows].  The loop state carries over between calls, so no
    batch grows past the cap and a consumer that stops pulling stops the
    loops.  The output array is reused across batches (the ownership rule
@@ -462,9 +462,8 @@ let hash_build ctx ~keys ~cond ~build_side (bit : Biter.t) ~probe_schema =
   }
 
 (* In-memory join: the probe rows drive [nl_batches], each meeting its
-   key's build rows. *)
-let memory_join b (probe : Biter.t) : Biter.t =
-  let table = build_hash_table b.build_keys b.rows in
+   key's build rows in [table]. *)
+let memory_join b table (probe : Biter.t) : Biter.t =
   let next_batch =
     nl_batches b.out_schema ~next_driver:(cursor probe)
       ~partners:(probe_hits table b.probe_keys) ~pair:b.pair ~keep:b.keep
@@ -522,11 +521,13 @@ let grace_join ctx b (probe : Biter.t) : Biter.t =
    group polls while the breaker is still absorbing input.  The check runs
    once per batch, the natural boundary. *)
 let guard_biter ctx (bit : Biter.t) =
-  let next_batch () =
-    Exec_ctx.check ctx;
-    bit.Biter.next_batch ()
-  in
-  { bit with Biter.next_batch }
+  if not (Exec_ctx.guarded ctx) then bit
+  else
+    let next_batch () =
+      Exec_ctx.check ctx;
+      bit.Biter.next_batch ()
+    in
+    { bit with Biter.next_batch }
 
 (* Open a plan node under a profile node, attributing wall time and page IO
    spent during the open itself (blocking operators — hash build, sort,
@@ -570,30 +571,73 @@ let io_biter ctx (node : Profile.node) (bit : Biter.t) =
   in
   { bit with Biter.next_batch }
 
-(* ---- exchange segment compilation ----
+(* ---- exchange segments ----
 
    A parallel segment is the scan spine the morsel workers evaluate
    independently: heap scan -> filters -> projections -> hash-join probes.
-   It compiles to one shared, domain-safe transform (the closures capture
-   only immutable schemas, column indices and read-only hash tables;
-   batches are immutable records), applied by each worker to the batches
-   its claimed page ranges produce. *)
+   Its [seg_pipe] stacks the serial operators on a scan stream and is
+   applied to one morsel's batch at a time.  Hash tables are built before
+   any worker starts and are shared read-only; the rest of a pipe's state
+   lives in the per-morsel operators it creates.  A spine that cannot run
+   per morsel (a hash-join build that spills, or a plan that is no
+   segment) is one serial stream instead. *)
 
 type segment = {
   seg_heap : Heap_file.t;
   seg_scan_schema : Schema.t;
-  seg_schema : Schema.t;  (* output schema of the transform *)
-  seg_fn : Batch.t -> Batch.t option;  (* [None] = morsel filtered away *)
+  seg_schema : Schema.t;  (* output schema of the pipe *)
+  seg_pipe : Biter.t -> Biter.t;  (* scan batches -> segment output *)
 }
 
-exception Unsupported_segment
+type spine = Morsels of segment | Serial of Biter.t
 
-(* The morsel scan of the streaming exchange and the parallel group: the
-   segment's morsel count and the evaluation of one morsel. *)
-let segment_morsels seg =
-  let ppb, n_morsels = morsel_geometry seg.seg_heap in
-  ( n_morsels,
-    fun m -> seg.seg_fn (morsel_batch seg.seg_scan_schema seg.seg_heap ~ppb m) )
+let spine_schema = function
+  | Morsels s -> s.seg_schema
+  | Serial bit -> bit.Biter.schema
+
+(* Put operator [f], whose output schema is [schema], on top of the
+   spine. *)
+let extend spine schema f =
+  match spine with
+  | Morsels s ->
+    Morsels { s with seg_schema = schema; seg_pipe = (fun bit -> f (s.seg_pipe bit)) }
+  | Serial bit -> Serial (f bit)
+
+(* The spine as one stream on the calling domain: a segment's pipe over the
+   serial scan, which walks the same morsels in order. *)
+let serial = function
+  | Serial bit -> bit
+  | Morsels s -> s.seg_pipe (scan_batches s.seg_scan_schema s.seg_heap)
+
+(* Morsel [m] through the segment's pipe. *)
+let morsel_biter s m =
+  let ppb, _ = morsel_geometry s.seg_heap in
+  s.seg_pipe
+    (Biter.of_batches s.seg_scan_schema
+       [ morsel_batch s.seg_scan_schema s.seg_heap ~ppb m ])
+
+let project schema cols =
+  let fns = Array.of_list (List.map (fun (e, _) -> Expr.compile schema e) cols) in
+  let out_schema = Schema.of_columns (List.map snd cols) in
+  let row tup = Array.map (fun f -> f tup) fns in
+  ( out_schema,
+    fun (bit : Biter.t) ->
+      let next_batch () =
+        Option.map (Batch.map out_schema row) (bit.Biter.next_batch ())
+      in
+      { Biter.schema = out_schema; next_batch; close = bit.Biter.close } )
+
+(* The hash join of the serial plan and of a segment: drain the build side
+   once; if it fits in work_mem, the probe spine meets one table (each
+   morsel on its own, or the serial stream); otherwise the grace join takes
+   the drained build and the probe spine as one serial stream. *)
+let hash_join ctx ~keys ~cond ~build_side build probe =
+  let b =
+    hash_build ctx ~keys ~cond ~build_side build ~probe_schema:(spine_schema probe)
+  in
+  if b.in_memory then
+    extend probe b.out_schema (memory_join b (build_hash_table b.build_keys b.rows))
+  else Serial (grace_join ctx b (guard_biter ctx (serial probe)))
 
 (* Pre-register [worker-<i>] profile nodes under the node currently being
    opened (the exchange), returning the callback that fills them with the
@@ -638,17 +682,12 @@ let rec open_batch ctx plan : Biter.t =
       in
       io_biter ctx node (Profile.wrap_biter node bit)
   in
-  if Exec_ctx.guarded ctx then guard_biter ctx bit else bit
+  guard_biter ctx bit
 
 and open_batch_raw ctx plan : Biter.t =
   let cat = Exec_ctx.catalog ctx in
   match plan with
-  | Physical.Seq_scan s ->
-    let tbl = Catalog.table_exn cat s.table in
-    let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
-    let bit = scan_batches schema tbl.Catalog.heap in
-    if s.filter = [] then bit
-    else batch_filter (compile_batch_preds schema s.filter) bit
+  | Physical.Seq_scan _ -> serial (compile_segment ctx plan)
   | Physical.Index_scan s ->
     let tbl = Catalog.table_exn cat s.table in
     let idx = index_exn tbl s.column in
@@ -682,15 +721,7 @@ and open_batch_raw ctx plan : Biter.t =
     batch_filter (compile_batch_preds bit.Biter.schema f.pred) bit
   | Physical.Project p ->
     let bit = open_batch ctx p.input in
-    let fns =
-      Array.of_list (List.map (fun (e, _) -> Expr.compile bit.Biter.schema e) p.cols)
-    in
-    let out_schema = Schema.of_columns (List.map snd p.cols) in
-    let project tup = Array.map (fun f -> f tup) fns in
-    let next_batch () =
-      Option.map (Batch.map out_schema project) (bit.Biter.next_batch ())
-    in
-    { Biter.schema = out_schema; next_batch; close = bit.Biter.close }
+    snd (project bit.Biter.schema p.cols) bit
   | Physical.Materialize m ->
     let bit = open_batch ctx m.input in
     let heap = Exec_ctx.temp ctx bit.Biter.schema in
@@ -741,29 +772,19 @@ and open_batch_raw ctx plan : Biter.t =
     let build, probe =
       match j.build_side with `Right -> (rbit, lbit) | `Left -> (lbit, rbit)
     in
-    let b =
-      hash_build ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side build
-        ~probe_schema:probe.Biter.schema
-    in
-    if b.in_memory then memory_join b probe else grace_join ctx b probe
+    serial
+      (hash_join ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side build
+         (Serial probe))
   | Physical.Hash_group g -> (
-    (* Parallel partial aggregation: when the group sits on an exchange
-       whose segment the workers can run, fuse scan + partials into the
-       workers and merge here.  Otherwise the exchange still parallelizes
-       the scan and this group consumes the resequenced stream serially. *)
+    (* Parallel partial aggregation: when the group sits on an exchange,
+       fuse scan + partials into the workers and merge here.  Otherwise the
+       exchange still parallelizes the scan and this group consumes the
+       resequenced stream serially. *)
     match g.Physical.input with
-    | Physical.Exchange e
-      when Exchange.parallel_group_ok g.Physical.aggs
-           && Exchange.segment_ok e.input -> (
-      match open_parallel_group ctx g ~dop:e.dop e.input with
-      | bit -> bit
-      | exception Unsupported_segment -> batch_hash_group ctx g)
+    | Physical.Exchange e when Exchange.parallel_group_ok g.Physical.aggs ->
+      open_parallel_group ctx g ~dop:e.dop e.input
     | _ -> batch_hash_group ctx g)
   | Physical.Exchange e -> open_exchange ctx ~dop:e.dop e.input
-  | Physical.Repartition r ->
-    (* Only meaningful as a build-side marker inside an exchange segment;
-       anywhere else it is a transparent pass-through. *)
-    open_batch ctx r.input
   | Physical.Block_nl_join j -> batch_bnl_join ctx j.left j.right j.cond
   | Physical.Index_nl_join j ->
     batch_index_nl_join ctx ~left:j.left ~alias:j.alias ~table:j.table
@@ -1007,174 +1028,143 @@ and batch_hash_group ctx (g : Physical.group) : Biter.t =
 
 (* ==== morsel-driven parallel path (Physical.Exchange) ==== *)
 
-and compile_segment ctx plan : segment =
-  let cat = Exec_ctx.catalog ctx in
+(* The spine of [plan]; a plan that is no segment is opened serially. *)
+and compile_segment ctx plan : spine =
   match plan with
   | Physical.Seq_scan s ->
-    let tbl = Catalog.table_exn cat s.table in
+    let tbl = Catalog.table_exn (Exec_ctx.catalog ctx) s.table in
     let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
-    let kernels = compile_batch_preds schema s.filter in
-    { seg_heap = tbl.Catalog.heap; seg_scan_schema = schema;
-      seg_schema = schema; seg_fn = run_kernels kernels }
-  | Physical.Filter f ->
-    let seg = compile_segment ctx f.input in
-    let kernels = compile_batch_preds seg.seg_schema f.pred in
-    { seg with seg_fn = (fun b -> Option.bind (seg.seg_fn b) (run_kernels kernels)) }
-  | Physical.Project p ->
-    let seg = compile_segment ctx p.input in
-    let fns =
-      Array.of_list
-        (List.map (fun (e, _) -> Expr.compile seg.seg_schema e) p.cols)
+    let pipe =
+      if s.filter = [] then Fun.id
+      else batch_filter (compile_batch_preds schema s.filter)
     in
-    let out_schema = Schema.of_columns (List.map snd p.cols) in
-    let project tup = Array.map (fun f -> f tup) fns in
-    let fn b = Option.map (Batch.map out_schema project) (seg.seg_fn b) in
-    { seg with seg_schema = out_schema; seg_fn = fn }
+    Morsels
+      { seg_heap = tbl.Catalog.heap; seg_scan_schema = schema;
+        seg_schema = schema; seg_pipe = pipe }
+  | Physical.Filter f ->
+    let spine = compile_segment ctx f.input in
+    let schema = spine_schema spine in
+    extend spine schema (batch_filter (compile_batch_preds schema f.pred))
+  | Physical.Project p ->
+    let spine = compile_segment ctx p.input in
+    let schema, f = project (spine_schema spine) p.cols in
+    extend spine schema f
   | Physical.Hash_join j ->
     let build_plan, probe_plan =
       match j.build_side with
       | `Right -> (j.right, j.left)
       | `Left -> (j.left, j.right)
     in
-    let nparts, build_inner =
-      match build_plan with
-      | Physical.Repartition r -> (Exchange.clamp_dop r.dop, r.input)
-      | p -> (1, p)
-    in
-    let seg = compile_segment ctx probe_plan in
-    (* The build side is evaluated once, serially, on the consuming domain
-       (it may be an arbitrary plan). *)
-    let b =
-      hash_build ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side
-        (open_batch ctx build_inner) ~probe_schema:seg.seg_schema
-    in
-    (* A spilling (grace) build has no parallel form with identical output
-       order; the caller falls back to the serial plan. *)
-    if not b.in_memory then raise Unsupported_segment;
-    let tables =
-      if nparts = 1 then [| build_hash_table b.build_keys b.rows |]
-      else begin
-        (* Partitioned parallel build: a key's rows all hash to one
-           partition and keep their input order there, so each slice's
-           table reproduces the serial table's bucket lists exactly. *)
-        let parts = Array.make nparts [] in
-        List.iter
-          (fun bt ->
-            let p = part_hash nparts b.build_keys bt in
-            parts.(p) <- bt :: parts.(p))
-          b.rows;
-        let parts = Array.map List.rev parts in
-        let tabs = Array.map (fun _ -> TH.create 0) parts in
-        let (_ : unit array * Exchange.wstats array) =
-          Exchange.fold ~ctx ~dop:nparts ~n_morsels:nparts
-            ~worker:(fun ~wid:_ ~stats:_ _wctx ~claim ->
-              let rec loop () =
-                match claim () with
-                | None -> ()
-                | Some p ->
-                  tabs.(p) <- build_hash_table b.build_keys parts.(p);
-                  loop ()
-              in
-              loop ())
-            ()
-        in
-        tabs
-      end
-    in
-    let table_of pt =
-      if nparts = 1 then tables.(0) else tables.(part_hash nparts b.probe_keys pt)
-    in
-    (* One output batch per morsel, however many matches its rows have. *)
-    let fn pb =
-      let out = ref [] and n = ref 0 in
-      Batch.iter
-        (fun pt ->
-          List.iter
-            (fun bt ->
-              let o = b.pair pt bt in
-              if b.keep o then begin
-                out := o :: !out;
-                incr n
-              end)
-            (probe_hits (table_of pt) b.probe_keys pt))
-        pb;
-      if !n = 0 then None else Some (batch_of_rev b.out_schema !n !out)
-    in
-    { seg with seg_schema = b.out_schema; seg_fn = (fun b -> Option.bind (seg.seg_fn b) fn) }
-  | _ -> raise Unsupported_segment
+    let probe = compile_segment ctx probe_plan in
+    (* The build side may be any plan: it is opened and drained once, on
+       the consuming domain, before any worker starts. *)
+    hash_join ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side
+      (open_batch ctx build_plan) probe
+  | plan -> Serial (open_batch ctx plan)
 
 (* Exchange as a streaming operator: workers run the segment morsel-wise,
-   the consumer resequences.  Unsupported segments degrade to the serial
-   plan (the exchange becomes a pass-through), keeping results correct for
-   any plan shape the rewrite or the plan cache may hand us. *)
+   the consumer resequences.  A serial spine makes the exchange a
+   pass-through, keeping results correct for any plan shape the rewrite or
+   the plan cache may hand us. *)
 and open_exchange ctx ~dop input : Biter.t =
-  if not (Exchange.segment_ok input) then open_batch ctx input
-  else
-    match compile_segment ctx input with
-    | exception Unsupported_segment -> open_batch ctx input
-    | seg ->
-      let n_morsels, morsel = segment_morsels seg in
-      let on_done = worker_profile_nodes ctx ~dop in
-      Exchange.gather ~ctx ~dop ~schema:seg.seg_schema ~n_morsels
-        ~morsel:(fun ~wid:_ _wctx m -> morsel m)
-        ?on_done ()
+  match compile_segment ctx input with
+  | Serial bit -> bit
+  | Morsels s ->
+    let on_done = worker_profile_nodes ctx ~dop in
+    (* A join's batches share an output array that its next batch reuses
+       (the ownership rule in batch.mli), so each queued batch is a copy. *)
+    let morsel ~wid:_ _wctx m =
+      let out = ref [] in
+      Biter.iter
+        (fun b -> out := Batch.of_rows s.seg_schema (Batch.to_rows b) :: !out)
+        (morsel_biter s m);
+      List.rev !out
+    in
+    Exchange.gather ~ctx ~dop ~schema:s.seg_schema
+      ~n_morsels:(snd (morsel_geometry s.seg_heap)) ~morsel ?on_done ()
 
 (* Hash group over an exchange: each worker folds its morsels into a
    private group table, and the consumer merges the tables.  A row's rank
    is its (morsel, position) — its place in the serial stream — so the
    merged table emits groups in the serial operator's order and the output
-   is byte-identical to it. *)
+   is byte-identical to it.  A serial spine is folded into one table. *)
 and open_parallel_group ctx (g : Physical.group) ~dop input : Biter.t =
-  let seg = compile_segment ctx input in
-  let f = folder seg.seg_schema g.Physical.aggs in
-  let key_idx = resolve_all seg.seg_schema g.Physical.keys in
-  let n_morsels, morsel = segment_morsels seg in
   (* The exchange is fused into this operator, but observability should
-     still show it: mirror it as a profile child with per-worker nodes. *)
-  let on_done =
-    match Exec_ctx.profiler ctx with
-    | None -> None
-    | Some prof ->
-      let xn =
-        Profile.enter prof (Physical.op_name (Physical.Exchange { input; dop }))
-      in
-      let fill = worker_profile_nodes ctx ~dop in
-      Profile.leave prof;
-      Some
-        (fun stats ->
-          Option.iter (fun fill -> fill stats) fill;
-          Array.iter
-            (fun (ws : Exchange.wstats) ->
-              let io = ws.Exchange.wio in
-              xn.Profile.rows_out <- xn.Profile.rows_out + ws.Exchange.wrows;
-              xn.Profile.batches <- xn.Profile.batches + ws.Exchange.wbatches;
-              xn.Profile.ms <- Float.max xn.Profile.ms ws.Exchange.wms;
-              xn.Profile.reads <- xn.Profile.reads + io.Buffer_pool.reads;
-              xn.Profile.writes <- xn.Profile.writes + io.Buffer_pool.writes;
-              xn.Profile.hits <- xn.Profile.hits + io.Buffer_pool.hits)
-            stats)
+     still show it: mirror it as a profile node holding the nodes of the
+     build sides and one node per worker. *)
+  let prof = Exec_ctx.profiler ctx in
+  let xn =
+    Option.map
+      (fun p -> Profile.enter p (Physical.op_name (Physical.Exchange { input; dop })))
+      prof
   in
-  let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
-    let t = gtable f key_idx in
-    let rec loop () =
-      match claim () with
-      | None -> t
-      | Some m ->
-        Option.iter
-          (fun b ->
+  let spine, fill =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Profile.leave prof)
+      (fun () ->
+        let spine = compile_segment ctx input in
+        ( spine,
+          match spine with
+          | Morsels _ -> worker_profile_nodes ctx ~dop
+          | Serial _ -> None ))
+  in
+  let in_schema = spine_schema spine in
+  let f = folder in_schema g.Physical.aggs in
+  let key_idx = resolve_all in_schema g.Physical.keys in
+  let table () = gtable f key_idx in
+  let t =
+    match spine with
+    | Serial bit ->
+      let bit =
+        match xn with
+        | Some n -> io_biter ctx n (Profile.wrap_biter n bit)
+        | None -> bit
+      in
+      let bit = guard_biter ctx bit in
+      let t = table () in
+      Biter.iter (add_batch t) bit;
+      t
+    | Morsels s ->
+      let on_done =
+        Option.map
+          (fun xn stats ->
+            Option.iter (fun fill -> fill stats) fill;
+            Array.iter
+              (fun (ws : Exchange.wstats) ->
+                let io = ws.Exchange.wio in
+                xn.Profile.rows_out <- xn.Profile.rows_out + ws.Exchange.wrows;
+                xn.Profile.batches <- xn.Profile.batches + ws.Exchange.wbatches;
+                xn.Profile.ms <- Float.max xn.Profile.ms ws.Exchange.wms;
+                xn.Profile.reads <- xn.Profile.reads + io.Buffer_pool.reads;
+                xn.Profile.writes <- xn.Profile.writes + io.Buffer_pool.writes;
+                xn.Profile.hits <- xn.Profile.hits + io.Buffer_pool.hits)
+              stats)
+          xn
+      in
+      let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
+        let t = table () in
+        let rec loop () =
+          match claim () with
+          | None -> t
+          | Some m ->
             (* Rank = (morsel, position in it), packed into one int. *)
             t.next_rank <- m lsl 32;
-            add_batch t b;
-            ws.Exchange.wrows <- ws.Exchange.wrows + Batch.live b;
-            ws.Exchange.wbatches <- ws.Exchange.wbatches + 1)
-          (morsel m);
+            Biter.iter
+              (fun b ->
+                add_batch t b;
+                ws.Exchange.wrows <- ws.Exchange.wrows + Batch.live b;
+                ws.Exchange.wbatches <- ws.Exchange.wbatches + 1)
+              (morsel_biter s m);
+            loop ()
+        in
         loop ()
-    in
-    loop ()
+      in
+      let n_morsels = snd (morsel_geometry s.seg_heap) in
+      let tables, _ = Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done () in
+      Array.iteri (fun i t -> if i > 0 then merge tables.(0) t) tables;
+      tables.(0)
   in
-  let tables, _ = Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done () in
-  Array.iteri (fun i t -> if i > 0 then merge tables.(0) t) tables;
-  group_output ctx g tables.(0)
+  group_output ctx g t
 
 let run ctx plan =
   (* Temps must be released even when an operator raises mid-pipeline

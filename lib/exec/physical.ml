@@ -40,7 +40,6 @@ type t =
   | Materialize of { input : t }
   | Limit of { input : t; count : int }
   | Exchange of { input : t; dop : int }
-  | Repartition of { input : t; dop : int; keys : Schema.column list }
 
 and group = {
   input : t;
@@ -84,7 +83,6 @@ let rec schema cat = function
   | Materialize m -> schema cat m.input
   | Limit l -> schema cat l.input
   | Exchange e -> schema cat e.input
-  | Repartition r -> schema cat r.input
 
 let key_name (c : Schema.column) = (c.Schema.cqual, c.Schema.cname)
 
@@ -116,12 +114,9 @@ let rec sorted_on = function
     in
     prefix (sorted_on p.input)
   (* The exchange consumer resequences morsels into producer order, so any
-     order the input had is preserved. Repartition interleaves partitions
-     and guarantees nothing. *)
+     order the input had is preserved. *)
   | Exchange e -> sorted_on e.input
-  | Seq_scan _ | Block_nl_join _ | Index_nl_join _ | Hash_join _ | Hash_group _
-  | Repartition _ ->
-    []
+  | Seq_scan _ | Block_nl_join _ | Index_nl_join _ | Hash_join _ | Hash_group _ -> []
 
 let rec relations = function
   | Seq_scan s -> [ (s.alias, s.table) ]
@@ -137,7 +132,6 @@ let rec relations = function
   | Materialize m -> relations m.input
   | Limit l -> relations l.input
   | Exchange e -> relations e.input
-  | Repartition r -> relations r.input
 
 (* Materialized-view extents are backed by hidden [__mv_<name>] heap
    tables; display them as [mv:<name>] so EXPLAIN (and the op names that
@@ -237,9 +231,6 @@ let rec pp_node ppf (indent, t) =
   | Exchange e ->
     Format.fprintf ppf "%sExchange dop=%d@\n%a" pad e.dop pp_node
       (child e.input)
-  | Repartition r ->
-    Format.fprintf ppf "%sRepartition dop=%d [%s]@\n%a" pad r.dop
-      (cols_str r.keys) pp_node (child r.input)
 
 let pp ppf t = pp_node ppf (0, t)
 let to_string t = Format.asprintf "%a" pp t
@@ -262,7 +253,6 @@ let op_name = function
   | Hash_group _ -> "HashGroup"
   | Sort_group _ -> "SortGroup"
   | Exchange e -> Printf.sprintf "Exchange(dop=%d)" e.dop
-  | Repartition r -> Printf.sprintf "Repartition(dop=%d)" r.dop
 
 let inputs = function
   | Seq_scan _ | Index_scan _ -> []
@@ -277,4 +267,3 @@ let inputs = function
   | Merge_join j -> [ j.left; j.right ]
   | Hash_group g | Sort_group g -> [ g.input ]
   | Exchange e -> [ e.input ]
-  | Repartition r -> [ r.input ]

@@ -60,10 +60,6 @@ type t =
       (** evaluate [input] morsel-wise on [dop] worker domains and gather
           the output batches, resequenced into producer order so results
           are byte-identical to a serial run *)
-  | Repartition of { input : t; dop : int; keys : Schema.column list }
-      (** hash-partition marker on a hash-join build side under an
-          [Exchange]: the build table is split by hash of [keys] so [dop]
-          workers each build their slice in parallel *)
 
 and group = {
   input : t;

@@ -118,16 +118,7 @@ let rec walk cat plan : Schema.t =
       | _ -> ())
    | Physical.Exchange e ->
      if e.dop < 1 then fail "exchange dop must be >= 1";
-     ignore (walk cat e.input)
-   | Physical.Repartition r ->
-     if r.dop < 1 then fail "repartition dop must be >= 1";
-     let inner = walk cat r.input in
-     List.iter
-       (fun k ->
-         try ignore (Expr.resolve_column inner k)
-         with Expr.Unresolved_column msg ->
-           fail "unresolved repartition key: %s" msg)
-       r.keys);
+     ignore (walk cat e.input));
   schema
 
 let check cat plan =
@@ -135,6 +126,3 @@ let check cat plan =
   | _ -> Ok ()
   | exception Bad msg -> Error msg
   | exception Invalid_argument msg -> Error msg
-
-let check_exn cat plan =
-  match check cat plan with Ok () -> () | Error msg -> failwith msg

@@ -15,6 +15,3 @@
 
 val check : Catalog.t -> Physical.t -> (unit, string) result
 (** [Ok ()] or [Error description-of-first-violation]. *)
-
-val check_exn : Catalog.t -> Physical.t -> unit
-(** @raise Failure on the first violation. *)

@@ -249,10 +249,6 @@ val pp_analysis :
     algorithm, search-effort counters, group-by placement) followed by the
     per-node estimated-vs-actual tree with q-errors. *)
 
-val group_placement : Physical.t -> string
-(** Where group-bys sit relative to joins in a plan: ["early"] (below a
-    join — the paper's push-down shape), ["late"], ["mixed"] or ["none"]. *)
-
 type error_stats = {
   io_faults : int;
   corruptions : int;

@@ -20,9 +20,6 @@ let fresh_file t = Atomic.fetch_and_add t.next_file 1
 let create_heap t schema =
   Heap_file.create ~pool:t.pool ~file_id:(fresh_file t) ~verify:t.verify schema
 
-let load_relation t rel =
-  Heap_file.of_relation ~pool:t.pool ~file_id:(fresh_file t) ~verify:t.verify rel
-
 let create_index t ?order () =
   Btree.create ~pool:t.pool ~file_id:(fresh_file t) ?order ()
 

@@ -15,11 +15,6 @@ val pool : t -> Buffer_pool.t
 val create_heap : t -> Schema.t -> Heap_file.t
 (** Allocate a fresh file id and an empty heap file for it. *)
 
-val load_relation : t -> Relation.t -> Heap_file.t
-
-val create_index : t -> ?order:int -> unit -> Btree.t
-(** Allocate a fresh file id holding a new (empty) B+-tree. *)
-
 val build_index : t -> Heap_file.t -> column:int -> Btree.t
 (** Index column [column] of every tuple currently in the heap file. *)
 

@@ -181,15 +181,33 @@ let limit_eager_close () =
    every outer row with all its matches, a merge join pairs every left row
    with its key's right group, and a hash join pairs every probe row with
    its key's build rows; none may hand out more than [Batch.default_rows]
-   rows at once.  The in-memory hash join holds no temp while it streams;
-   the spilling one holds its unread partitions.  Closing mid-stream drops
-   the BNL's spooled inner, the merge join's sort runs and the grace join's
+   rows at once, also when an exchange runs the hash join's probe per
+   morsel.  The in-memory hash join holds no temp while it streams; the
+   spilling one holds its unread partitions.  Closing mid-stream drops the
+   BNL's spooled inner, the merge join's sort runs and the grace join's
    partitions. *)
 
 let joins_bounded_batches () =
   let cat = Tpcd.load () in
   let col q n = Schema.column ~qual:q n Datatype.Int in
   let scan alias table = Physical.Seq_scan { alias; table; filter = [] } in
+  let skewed =
+    Physical.Hash_join
+      { left = scan "c" "customer";
+        right =
+          Physical.Seq_scan
+            { alias = "d"; table = "customer";
+              filter = [ Expr.Cmp (Expr.Lt, Expr.Col (col "d" "ck"), Expr.int 200) ] };
+        keys = [ (col "c" "nation", col "d" "nation") ]; cond = [];
+        build_side = `Right }
+  in
+  let spilling =
+    Physical.Hash_join
+      { left = scan "o" "orders"; right = scan "l" "lineitem";
+        keys = [ (col "o" "ok", col "l" "ok") ]; cond = [];
+        build_side = `Left }
+  in
+  let exchange input = Physical.Exchange { input; dop = 2 } in
   let plans =
     [
       ( "block nested-loop cross product",
@@ -208,20 +226,10 @@ let joins_bounded_batches () =
         Physical.Merge_join
           { left = by_ck "a"; right = by_ck "b";
             keys = [ (col "a" "ck", col "b" "ck") ]; cond = [] } );
-      ( "in-memory hash join, ~20 build rows per key",
-        Physical.Hash_join
-          { left = scan "c" "customer";
-            right =
-              Physical.Seq_scan
-                { alias = "d"; table = "customer";
-                  filter = [ Expr.Cmp (Expr.Lt, Expr.Col (col "d" "ck"), Expr.int 200) ] };
-            keys = [ (col "c" "nation", col "d" "nation") ]; cond = [];
-            build_side = `Right } );
-      ( "spilling hash join",
-        Physical.Hash_join
-          { left = scan "o" "orders"; right = scan "l" "lineitem";
-            keys = [ (col "o" "ok", col "l" "ok") ]; cond = [];
-            build_side = `Left } );
+      ("in-memory hash join, ~20 build rows per key", skewed);
+      ("spilling hash join", spilling);
+      ("in-memory hash join, ~20 build rows per key, dop 2", exchange skewed);
+      ("spilling hash join, dop 2", exchange spilling);
     ]
   in
   List.iter
@@ -237,9 +245,9 @@ let joins_bounded_batches () =
             Batch.default_rows (Batch.live b)
       done;
       (match plan with
-       | Physical.Hash_join _ ->
+       | Physical.Hash_join _ | Physical.Exchange _ ->
          Alcotest.(check bool) (name ^ ": temps held mid-stream")
-           (name = "spilling hash join")
+           (String.starts_with ~prefix:"spilling" name)
            (Exec_ctx.live_temps ctx > 0)
        | _ -> ());
       bit.Biter.close ();
@@ -350,6 +358,58 @@ let pinned_io () =
       Alcotest.(check int) (name ^ ": no temps left") 0 (Exec_ctx.live_temps ctx))
     plans
 
+(* ---- a parallel group over a spilling hash join ----
+
+   At work_mem 4 the orders build side of lineitem ⋈ orders spills, so the
+   exchange cannot probe it per morsel: the grace join takes the drained
+   build and probes the lineitem morsels in order on the calling domain.
+   The build is drained once, so the profile holds one orders scan, and
+   the page touches and reads are the serial plan's. *)
+
+let parallel_spilling_join_io () =
+  let col q n = Schema.column ~qual:q n Datatype.Int in
+  let scan alias table = Physical.Seq_scan { alias; table; filter = [] } in
+  let group input =
+    Physical.Hash_group
+      {
+        input;
+        agg_qual = "g";
+        keys = [ col "l" "pk" ];
+        aggs = [ Aggregate.make Aggregate.Sum ~arg:(Expr.Col (col "l" "qty")) "q" ];
+        having = [];
+      }
+  in
+  let join =
+    Physical.Hash_join
+      { left = scan "l" "lineitem"; right = scan "o" "orders";
+        keys = [ (col "l" "ok", col "o" "ok") ]; cond = []; build_side = `Right }
+  in
+  let cat = Tpcd.load () in
+  let run plan =
+    let ctx = Exec_ctx.create ~work_mem:4 cat in
+    match Executor.run_profiled_result ~cold:true ctx plan with
+    | Ok (rel, io, prof) ->
+      Alcotest.(check int) "no temps left" 0 (Exec_ctx.live_temps ctx);
+      (rel, io, prof)
+    | Error (e, _) -> raise e
+  in
+  let serial, sio, _ = run (group join) in
+  let par, pio, prof = run (group (Physical.Exchange { input = join; dop = 2 })) in
+  Alcotest.(check bool) "same rows in the same order" true
+    (List.equal Tuple.equal (Relation.tuples serial) (Relation.tuples par));
+  let rec count name nodes =
+    List.fold_left
+      (fun acc (n : Profile.node) ->
+        acc + Bool.to_int (n.Profile.pname = name) + count name (Profile.children n))
+      0 nodes
+  in
+  Alcotest.(check int) "one orders scan" 1 (count "SeqScan(orders)" (Profile.roots prof));
+  let touches (io : Buffer_pool.stats) = io.Buffer_pool.reads + io.Buffer_pool.hits in
+  Alcotest.(check int) "serial touches" 7582 (touches sio);
+  Alcotest.(check int) "serial reads" 82 sio.Buffer_pool.reads;
+  Alcotest.(check int) "parallel touches" 7582 (touches pio);
+  Alcotest.(check int) "parallel reads" 82 pio.Buffer_pool.reads
+
 (* ---- differential property: executor = reference interpreter ---- *)
 
 let diff_catalogs =
@@ -404,5 +464,7 @@ let tests =
       joins_bounded_batches;
     Alcotest.test_case "page IO pinned for BNL, index-NL, merge join, sort-group"
       `Quick pinned_io;
+    Alcotest.test_case "parallel group over a spilling hash join drains its build once"
+      `Quick parallel_spilling_join_io;
     QCheck_alcotest.to_alcotest ~long:true prop_executor_equals_reference;
   ]
