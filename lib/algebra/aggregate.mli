@@ -85,5 +85,4 @@ val finish : state -> Value.t
     return NULL, which the engine does not model; group-by never produces
     empty groups. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

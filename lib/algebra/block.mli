@@ -69,9 +69,6 @@ val reference_eval : Catalog.t -> query -> Relation.t
 (** {!Logical.eval} of {!query_logical}, then ORDER BY and LIMIT applied at
     the relation level: the full reference semantics. *)
 
-val all_aliases : query -> string list
-(** Aliases of all views and outer base tables. *)
-
 val validate : Catalog.t -> query -> (unit, string) result
 (** Structural checks: distinct aliases, known tables, select list within
     grouping columns when grouped, view exports well-formed. *)

@@ -16,7 +16,6 @@ type pred =
 let col ?qual name ty = Col (Schema.column ?qual name ty)
 let int i = Const (Value.Int i)
 let flt f = Const (Value.Float f)
-let str s = Const (Value.String s)
 
 let rec columns = function
   | Col c -> [ c ]

@@ -25,7 +25,6 @@ type pred =
 val col : ?qual:string -> string -> Datatype.t -> t
 val int : int -> t
 val flt : float -> t
-val str : string -> t
 
 (** {1 Static analysis} *)
 

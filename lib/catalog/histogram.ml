@@ -108,7 +108,3 @@ let sel_range t ?lo ?hi () =
     | Some (v, incl) -> sel_lt t v +. (if incl then 0. else sel_eq t v)
   in
   clamp01 (below_hi -. below_lo)
-
-let pp ppf t =
-  Format.fprintf ppf "hist{n=%d ndv=%d min=%a max=%a buckets=%d}" t.total t.ndv
-    Value.pp t.vmin Value.pp t.vmax (Array.length t.buckets)

@@ -22,5 +22,3 @@ val sel_eq : t -> Value.t -> float
 val sel_range : t -> ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> float
 (** Estimated fraction of rows within the range; endpoints carry an
     inclusive flag.  Uses linear interpolation inside numeric buckets. *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,10 +14,6 @@ type table_stats = {
   columns : column_stats array;   (** aligned with the table schema *)
 }
 
-val analyze_column : Value.t list -> column_stats
-(** Statistics of one column from its full contents.
-    @raise Invalid_argument on an empty column. *)
-
 val analyze : Schema.t -> Tuple.t list -> table_stats
 (** Full-table analyze pass.
     @raise Invalid_argument on an empty table (workloads never load empty

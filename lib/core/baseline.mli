@@ -17,9 +17,3 @@ val optimize :
   Dp.entry
 (** Best plan for the whole query, {e without} the final projection (the
     caller appends it; see {!Optimizer}). *)
-
-val view_items :
-  Catalog.t -> mode:[ `Traditional | `Greedy ] -> work_mem:int ->
-  ?bushy:bool -> Normalize.nquery -> Dp.item list
-(** The phase-2 items: one derived item per locally-optimized view plus the
-    outer base tables (exposed for tests and experiments). *)

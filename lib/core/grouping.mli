@@ -27,9 +27,6 @@ type later_item = {
           grouping columns); [None] = no usable key *)
 }
 
-val covered : string list -> Schema.column -> bool
-(** Is the column's qualifier among the given aliases? *)
-
 val invariant_final_ok :
   spec:group_spec ->
   covered_aliases:string list ->

@@ -26,36 +26,57 @@ let optimize ?(options = default_options) cat query =
   Search_stats.reset ();
   let nq = Normalize.normalize cat query in
   let nq = if options.predicate_moveround then Predicate_transfer.apply nq else nq in
-  let entry, report =
+  let finish entry =
+    let plan = Physical.Project { input = entry.Dp.plan; cols = nq.Normalize.select } in
+    let plan =
+      match nq.Normalize.order with
+      | [] -> plan
+      | order ->
+        Physical.Sort
+          { input = plan; cols = List.map fst order; desc = List.map snd order }
+    in
+    let plan =
+      match nq.Normalize.limit with
+      | None -> plan
+      | Some count -> Physical.Limit { input = plan; count }
+    in
+    (plan, Cost_model.estimate cat ~work_mem:options.work_mem plan)
+  in
+  let baseline mode =
+    finish
+      (Baseline.optimize cat ~work_mem:options.work_mem ~mode
+         ~bushy:options.paper.Paper_opt.bushy nq)
+  in
+  let own, report =
     match options.algorithm with
-    | Traditional ->
-      ( Baseline.optimize cat ~work_mem:options.work_mem ~mode:`Traditional
-          ~bushy:options.paper.Paper_opt.bushy nq,
-        None )
-    | Greedy_conservative ->
-      ( Baseline.optimize cat ~work_mem:options.work_mem ~mode:`Greedy
-          ~bushy:options.paper.Paper_opt.bushy nq,
-        None )
+    | Traditional -> (baseline `Traditional, None)
+    | Greedy_conservative -> (baseline `Greedy, None)
     | Paper ->
       let r =
         Paper_opt.optimize cat ~work_mem:options.work_mem ~opts:options.paper nq
       in
-      (r.Paper_opt.best, Some r)
+      (finish r.Paper_opt.best, Some r)
   in
-  let plan = Physical.Project { input = entry.Dp.plan; cols = nq.Normalize.select } in
-  let plan =
-    match nq.Normalize.order with
-    | [] -> plan
-    | order ->
-      Physical.Sort
-        { input = plan; cols = List.map fst order; desc = List.map snd order }
+  let search = Search_stats.snapshot () in
+  (* Never worse (E6): the paper's plan is kept only if its estimate does
+     not exceed greedy's, and greedy's only if it does not exceed the
+     traditional one's.  Neither search contains the smaller algorithm's
+     plan exactly: a view plan that ties on cost may carry a larger row
+     estimate into the outer join.  The witnesses' effort is not counted
+     in [search]. *)
+  let witnesses =
+    match options.algorithm with
+    | Traditional -> []
+    | Greedy_conservative -> [ `Traditional ]
+    | Paper -> [ `Greedy; `Traditional ]
   in
-  let plan =
-    match nq.Normalize.limit with
-    | None -> plan
-    | Some count -> Physical.Limit { input = plan; count }
+  let plan, est =
+    List.fold_left
+      (fun ((_, best) as acc) mode ->
+        let (_, e) as w = baseline mode in
+        if e.Cost_model.cost < best.Cost_model.cost then w else acc)
+      own witnesses
   in
-  let est = Cost_model.estimate cat ~work_mem:options.work_mem plan in
   (* Intra-query parallelism: rewrite the serial plan around an exchange
      when workers are available and the estimated work amortizes the
      per-worker startup toll (costed by the parallel-fraction model in
@@ -73,7 +94,7 @@ let optimize ?(options = default_options) cat query =
     end
     else (plan, est)
   in
-  { plan; est; search = Search_stats.snapshot (); report;
+  { plan; est; search; report;
     time_ms = (Unix.gettimeofday () -. t0) *. 1000. }
 
 let run ?(options = default_options) cat query =

@@ -12,9 +12,11 @@
       transformation over the minimal invariant sets, enumeration of the
       pulled sets W_i, combined with the push-down heuristic.
 
-    The produced plan is executable with {!Executor.run}; its estimated
-    cost under [Paper] is guaranteed no larger than under [Traditional]
-    (the traditional strategy is in the search space). *)
+    The produced plan is executable with {!Executor.run}.  Estimated costs
+    are ordered [Paper] <= [Greedy_conservative] <= [Traditional] (E6):
+    each algorithm also finishes the smaller algorithms' plans and keeps
+    the cheapest, since a view plan that ties on cost can carry a larger
+    row estimate into the outer join. *)
 
 type algorithm = Traditional | Greedy_conservative | Paper
 
@@ -42,8 +44,12 @@ val default_options : options
 type result = {
   plan : Physical.t;  (** full plan, including the final projection *)
   est : Cost_model.est;
-  search : Search_stats.t;  (** effort counters for this optimization *)
-  report : Paper_opt.report option;  (** phase details when [Paper] ran *)
+  search : Search_stats.t;
+      (** effort counters of the algorithm's own search (the smaller
+          algorithms' plans it is compared against are not counted) *)
+  report : Paper_opt.report option;
+      (** phase details when [Paper] ran; its [best] is the search's own
+          pick, which a greedy or traditional plan may have beaten *)
   time_ms : float;  (** wall-clock optimization time of this call *)
 }
 

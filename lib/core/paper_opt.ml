@@ -168,8 +168,10 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
         (fun ms -> List.map (fun ps -> ms @ ps) pull_subsets)
         moved_subsets
     in
-    (* The traditional choice W = V - V' must always be present (this is the
-       never-worse guarantee's witness), and goes first. *)
+    (* The traditional choice W = V - V' must always be present, and goes
+       first.  It is not an exact witness for the never-worse guarantee:
+       phase 1 groups it early, so [Optimizer] also finishes the
+       traditional plan itself. *)
     let key w = List.sort compare (List.map fst w) in
     let seen = Hashtbl.create 16 in
     let uniq =

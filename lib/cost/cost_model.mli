@@ -36,12 +36,6 @@ val cardenas : n:float -> d:float -> float
 (** Expected number of distinct values drawn when [n] rows are thrown into
     [d] equally likely groups: [d * (1 - (1 - 1/d)^n)]. *)
 
-val group_rows : Selectivity.env -> input_rows:float -> Schema.column list -> float
-(** Estimated group count for a GROUP BY over the given keys (naive
-    product-of-NDVs form). *)
-
-val pages_of : rows:float -> width:int -> float
-
 val plan_aware_grouping : bool ref
 (** When set to [false], {!estimate} falls back to the naive
     product-of-NDVs group count (ablation switch for experiments; default

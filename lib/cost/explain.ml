@@ -30,5 +30,3 @@ let pp cat ~work_mem ppf plan =
     List.iter (go (indent + 2)) (children node)
   in
   go 0 plan
-
-let to_string cat ~work_mem plan = Format.asprintf "%a" (pp cat ~work_mem) plan

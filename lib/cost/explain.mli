@@ -8,5 +8,3 @@ val children : Physical.t -> Physical.t list
 (** Alias for {!Physical.inputs}; shared by {!Explain_analyze}. *)
 
 val pp : Catalog.t -> work_mem:int -> Format.formatter -> Physical.t -> unit
-
-val to_string : Catalog.t -> work_mem:int -> Physical.t -> string

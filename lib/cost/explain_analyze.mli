@@ -38,7 +38,6 @@ type t = {
   error : string option;  (** set when the run failed: stats are partial *)
 }
 
-val q_error : est:float -> actual:float -> float
 val q_rows : node -> float
 val q_pages : node -> float
 

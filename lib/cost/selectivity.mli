@@ -13,17 +13,10 @@ val of_aliases : Catalog.t -> (string * string) list -> env
 (** [of_aliases cat aliases] builds an environment where column qualifier
     [alias] resolves into table [table] for each [(alias, table)] pair. *)
 
-val column_stats : env -> Schema.column -> Stats.column_stats option
-
 val ndv : env -> Schema.column -> rows:float -> float
 (** Estimated distinct count of a column, capped by [rows]; defaults to
     [rows / 10] when unknown. *)
 
-val pred : env -> Expr.pred -> float
-(** Estimated fraction of tuples satisfying the predicate (independence
-    assumed across conjuncts). *)
-
 val preds : env -> Expr.pred list -> float
 
-val default_eq : float
 val default_range : float

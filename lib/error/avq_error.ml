@@ -39,11 +39,7 @@ let to_string e =
   | Bad_statement msg -> Printf.sprintf "kind=bad-statement detail=%S" msg
   | Unavailable msg -> Printf.sprintf "kind=unavailable detail=%S" msg
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 let of_exn = function Error e -> Some e | _ -> None
-
-let is_transient = function Io_fault _ -> true | _ -> false
 
 (* Render [Error e] as its taxonomy line in uncaught-exception traces. *)
 let () =

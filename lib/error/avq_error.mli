@@ -36,8 +36,6 @@ exception Error of t
 val error : t -> 'a
 (** [error e] raises {!Error}[ e]. *)
 
-val io_op_label : io_op -> string
-
 val kind_label : t -> string
 (** Stable lowercase tag for counters and structured log lines:
     ["io-fault"], ["corruption"], ["resource-exceeded"], ["timeout"],
@@ -46,12 +44,7 @@ val kind_label : t -> string
 val to_string : t -> string
 (** One-line rendering: [kind=<kind> <field>=<value>...], machine-grepable. *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_exn : exn -> t option
 (** Map an exception onto the taxonomy where a sound mapping exists:
     [Error e] gives [Some e]; anything else gives [None].  Unknown
     exceptions are deliberately not swallowed — the caller decides. *)
-
-val is_transient : t -> bool
-(** Only transient errors ([Io_fault]) are candidates for retry. *)

@@ -24,7 +24,6 @@ let of_segment schema rows ~lo ~len =
   { schema; rows; lo; nrows = lo + len; sel = None }
 
 let of_list schema l = of_rows schema (Array.of_list l)
-let schema t = t.schema
 
 let live t = match t.sel with None -> t.nrows - t.lo | Some s -> Array.length s
 

@@ -35,7 +35,6 @@ val of_segment : Schema.t -> Tuple.t array -> lo:int -> len:int -> t
     @raise Invalid_argument if the segment is out of range. *)
 
 val of_list : Schema.t -> Tuple.t list -> t
-val schema : t -> Schema.t
 
 val live : t -> int
 (** Number of live rows (selection vector length, or the full prefix). *)

@@ -76,8 +76,6 @@ let begin_statement ?timeout_ms ?spill_quota ?cancel t =
   t.spill_pages <- 0;
   t.guarded <- t.deadline <> None || cancel <> None
 
-let cancel t = Atomic.set t.cancel_token true
-
 (* Statements also poll while a process-wide shutdown may be in progress
    (lifecycle handlers installed), so a drain that escalates to abort stops
    every in-flight statement at its next batch boundary even when it carries

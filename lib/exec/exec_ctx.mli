@@ -63,9 +63,6 @@ val check : t -> unit
     {!Lifecycle} abort is in progress or the statement's token is set, then
     [Avq_error.Error (Timeout _)] if past the deadline. *)
 
-val cancel : t -> unit
-(** Set this statement's cancellation token. *)
-
 val guarded : t -> bool
 (** Whether the executor should poll {!check} at batch boundaries: the
     current statement carries a deadline or cancel token, or lifecycle

@@ -40,8 +40,6 @@ val leave : t -> unit
 
 val roots : t -> node list
 val children : node -> node list
-val rows_in : node -> int
-(** Sum of the direct children's [rows_out]. *)
 
 val set_error : t -> string -> unit
 (** Mark the profile as partial: the statement failed mid-run and counters
@@ -64,5 +62,4 @@ val total_touches : node -> int
 
 val wrap_biter : node -> Biter.t -> Biter.t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,8 +1,6 @@
-type phase = Running | Draining | Aborting
-
 type mode = Abort_on_signal | Drain_then_abort
 
-(* 0 = Running, 1 = Draining, 2 = Aborting.  Monotone: shutdown only ever
+(* 0 = running, 1 = draining, 2 = aborting.  Monotone: shutdown only ever
    escalates, so a relaxed read racing an escalation errs on the lenient
    side for at most one poll interval. *)
 let state = Atomic.make 0
@@ -10,12 +8,8 @@ let got_signal = Atomic.make 0
 let is_installed = Atomic.make false
 let current_mode = Atomic.make Abort_on_signal
 
-let phase () =
-  match Atomic.get state with 0 -> Running | 1 -> Draining | _ -> Aborting
-
 let draining () = Atomic.get state > 0
 let aborting () = Atomic.get state > 1
-let installed () = Atomic.get is_installed
 let engaged () = Atomic.get is_installed || Atomic.get state > 0
 
 let escalate level =
@@ -78,9 +72,6 @@ let install ?(signals = [ Sys.sigint; Sys.sigterm ]) mode =
     (* force the pipe outside the handler; handlers must not allocate it *)
     ignore (Lazy.force pipe);
   List.iter (fun s -> Sys.set_signal s (Sys.Signal_handle on_signal)) signals
-
-let signal_received () =
-  match Atomic.get got_signal with 0 -> None | s -> Some s
 
 let exit_code () =
   match Atomic.get got_signal with 0 -> 0 | s ->

@@ -18,8 +18,6 @@
     temps, closing sockets — happens in the owning control flow, via the
     {!at_shutdown} hooks it registered. *)
 
-type phase = Running | Draining | Aborting
-
 type mode =
   | Abort_on_signal
       (** first signal aborts in-flight work immediately (batch session:
@@ -32,12 +30,8 @@ val install : ?signals:int list -> mode -> unit
 (** Install handlers for [signals] (default SIGINT and SIGTERM).
     Idempotent; a second call just switches the mode. *)
 
-val installed : unit -> bool
-
-val phase : unit -> phase
-
 val draining : unit -> bool
-(** [phase () <> Running]: no new work should be admitted. *)
+(** Shutdown has begun: no new work should be admitted. *)
 
 val aborting : unit -> bool
 (** In-flight statements must unwind at their next poll point. *)
@@ -51,9 +45,6 @@ val engaged : unit -> bool
 val request_drain : unit -> unit
 val request_abort : unit -> unit
 (** Programmatic equivalents of the signals (tests, server [stop]). *)
-
-val signal_received : unit -> int option
-(** The last shutdown signal delivered, if any. *)
 
 val exit_code : unit -> int
 (** Conventional exit status: [128 + signal] if a signal triggered the

@@ -118,7 +118,6 @@ let start t ~trace_id ?parent name =
     attrs = [];
   }
 
-let id s = s.span_id
 let set_attr s k v = s.attrs <- (k, v) :: s.attrs
 
 let finish ?(status = "ok") s =

@@ -36,9 +36,6 @@ val new_trace : tracer -> int
 val start : tracer -> trace_id:int -> ?parent:int -> string -> span
 (** Start a live span; wall clock runs until {!finish}. *)
 
-val id : span -> int
-(** Span id, for parenting children. *)
-
 val set_attr : span -> string -> attr -> unit
 
 val finish : ?status:string -> span -> float

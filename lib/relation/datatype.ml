@@ -5,13 +5,6 @@ let equal a b =
   | Int, Int | Float, Float | String, String | Bool, Bool | Date, Date -> true
   | (Int | Float | String | Bool | Date), _ -> false
 
-let rank = function Int -> 0 | Float -> 1 | String -> 2 | Bool -> 3 | Date -> 4
-let compare a b = Stdlib.compare (rank a) (rank b)
-
-let is_numeric = function
-  | Int | Float | Date -> true
-  | String | Bool -> false
-
 let to_string = function
   | Int -> "INT"
   | Float -> "FLOAT"

@@ -11,11 +11,6 @@ type t =
   | Date    (** date, stored as days since epoch *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-
-val is_numeric : t -> bool
-(** [is_numeric t] is true for {!Int}, {!Float} and {!Date} (dates support
-    ordering and difference arithmetic). *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -11,12 +11,6 @@ let fold f init t = List.fold_left f init t.tuples
 let filter p t = { t with tuples = List.filter p t.tuples }
 let map_tuples schema f t = { schema; tuples = List.map f t.tuples }
 
-let project t idxs =
-  {
-    schema = Schema.project t.schema idxs;
-    tuples = List.map (fun tup -> Tuple.project tup idxs) t.tuples;
-  }
-
 let sort_by cols t =
   { t with tuples = List.stable_sort (Tuple.compare_at cols) t.tuples }
 

@@ -15,7 +15,6 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val filter : (Tuple.t -> bool) -> t -> t
 val map_tuples : Schema.t -> (Tuple.t -> Tuple.t) -> t -> t
-val project : t -> int list -> t
 val sort_by : int array -> t -> t
 
 val multiset_equal : t -> t -> bool

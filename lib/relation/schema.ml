@@ -9,7 +9,6 @@ let of_columns cols = Array.of_list cols
 let columns t = Array.to_list t
 let arity = Array.length
 let get t i = t.(i)
-let types t = Array.map (fun c -> c.cty) t
 let append a b = Array.append a b
 let project t idxs = Array.of_list (List.map (fun i -> t.(i)) idxs)
 
@@ -56,8 +55,6 @@ let byte_width t =
   Array.fold_left (fun acc c -> acc + Datatype.byte_width c.cty) 0 t
 
 let rename_qualifier t q = Array.map (fun c -> { c with cqual = q }) t
-
-let equal a b = Array.length a = Array.length b && Array.for_all2 column_equal a b
 
 let column_to_string c =
   if String.equal c.cqual "" then c.cname else c.cqual ^ "." ^ c.cname

@@ -20,7 +20,6 @@ val of_columns : column list -> t
 val columns : t -> column list
 val arity : t -> int
 val get : t -> int -> column
-val types : t -> Datatype.t array
 
 val append : t -> t -> t
 (** [append a b] is the schema of the concatenation of tuples of [a] and
@@ -50,8 +49,6 @@ val rename_qualifier : t -> string -> t
 (** [rename_qualifier s q] re-qualifies every column with [q] (view
     materialization: the view's output columns belong to the view alias). *)
 
-val equal : t -> t -> bool
 val column_equal : column -> column -> bool
-val pp_column : Format.formatter -> column -> unit
 val pp : Format.formatter -> t -> unit
 val column_to_string : column -> string

@@ -37,5 +37,3 @@ let hash_at cols t =
 
 let to_string t =
   "[" ^ String.concat "; " (Array.to_list (Array.map Value.to_string t)) ^ "]"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

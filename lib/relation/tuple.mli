@@ -17,5 +17,4 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 val hash_at : int array -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -13,10 +13,6 @@ let add_string h s =
   String.iter (fun c -> h := add_byte !h (Char.code c)) s;
   !h
 
-let add_int h i = add_byte (add_string h (string_of_int i)) 0x1f
-
 let of_string s = add_string empty s
 
 let to_hex h = Printf.sprintf "%016Lx" h
-
-let pp fmt h = Format.pp_print_string fmt (to_hex h)

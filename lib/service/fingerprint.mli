@@ -8,19 +8,7 @@
 
 type t = int64
 
-val empty : t
-(** The FNV-1a offset basis. *)
-
-val add_string : t -> string -> t
-(** Fold the bytes of a string into the fingerprint. *)
-
-val add_int : t -> int -> t
-(** Fold an integer (as its decimal rendering, with a separator — so
-    [add_int (add_int h 1) 23] differs from [add_int (add_int h 12) 3]). *)
-
 val of_string : string -> t
 
 val to_hex : t -> string
 (** 16-digit lowercase hex, the form used in composed cache keys. *)
-
-val pp : Format.formatter -> t -> unit

@@ -48,8 +48,6 @@ val add : t -> entry -> unit
     eviction), then evict least-recently-used entries while over either
     capacity bound. *)
 
-val remove : t -> string -> unit
-
 val clear : t -> unit
 (** Drop every entry, counting each as an invalidation. *)
 

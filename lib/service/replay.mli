@@ -39,8 +39,6 @@ type classified =
 
 val classify : string -> classified
 
-val run_metrics : Service.t -> [ `Json | `Prometheus ] -> string
-
 val run_stats : Service.t -> [ `Show | `Reset ] -> string
 (** Render the top tracked statements as an aligned table, or reset the
     store and report that. *)

@@ -25,6 +25,15 @@ let default_config =
     dop = 1;
   }
 
+(* Atomic float accumulator for the wall-time totals: a CAS loop, since
+   [Atomic] has no float add. *)
+let fsum_add a x =
+  let rec go () =
+    let v = Atomic.get a in
+    if not (Atomic.compare_and_set a v (v +. x)) then go ()
+  in
+  go ()
+
 (* Shared across every session and worker of one service: the cache sits
    behind [lock] (find→optimize→add is atomic, so a template is optimized
    once per (fingerprint, algo, work_mem) no matter how many workers race
@@ -34,23 +43,23 @@ type t = {
   cfg : config;
   cache : Plan_cache.t;
   mviews : Matview.t;
-  lock : Sync.t;
-  calls : Sync.Counter.t;
-  hits : Sync.Counter.t;
-  rebinds : Sync.Counter.t;
-  misses : Sync.Counter.t;
-  recost_fallbacks : Sync.Counter.t;
-  rebind_conflicts : Sync.Counter.t;
-  stale_hits : Sync.Counter.t;
-  opt_ms_total : Sync.Fsum.t;
-  opt_ms_saved : Sync.Fsum.t;
+  lock : Mutex.t;
+  calls : int Atomic.t;
+  hits : int Atomic.t;
+  rebinds : int Atomic.t;
+  misses : int Atomic.t;
+  recost_fallbacks : int Atomic.t;
+  rebind_conflicts : int Atomic.t;
+  stale_hits : int Atomic.t;
+  opt_ms_total : float Atomic.t;
+  opt_ms_saved : float Atomic.t;
   (* Typed-error tally, one counter per {!Avq_error} kind (see [err_slot]).
      Bumped by [finish] when a statement fails with a typed error (and by
      the network front end for admission rejections).  Planning counts one
      [calls] whether or not execution later fails, so
      hits + rebinds + misses + recost_fallbacks + rebind_conflicts +
      uncached = calls holds with or without failures. *)
-  errs : Sync.Counter.t array;
+  errs : int Atomic.t array;
   (* Observability: the registry aggregates every counter family this
      service touches (buffer pool, plan cache, errors, statements, pool);
      the tracer, when set, receives one span tree per executed statement. *)
@@ -89,7 +98,7 @@ let err_slot : Avq_error.t -> int = function
   | Avq_error.Bad_statement _ -> 5
   | Avq_error.Unavailable _ -> 6
 
-let record_error t e = Sync.Counter.incr t.errs.(err_slot e)
+let record_error t e = Atomic.incr t.errs.(err_slot e)
 
 (* Expose every pre-existing counter family through the registry as
    sampled-at-export instruments, so the exports unify state that keeps
@@ -124,7 +133,7 @@ let register_metrics t =
     ~help:"Reads that failed after the whole retry budget"
     (fi (fun () -> (Storage.Faults.stats st).Buffer_pool.exhausted));
   let c name help ctr =
-    Metrics.fn_counter m name ~help (fi (fun () -> Sync.Counter.get ctr))
+    Metrics.fn_counter m name ~help (fi (fun () -> Atomic.get ctr))
   in
   c "avq_plancache_calls_total" "Plan/execute requests" t.calls;
   c "avq_plancache_hits_total" "Cached plans served as-is" t.hits;
@@ -137,7 +146,7 @@ let register_metrics t =
     t.rebind_conflicts;
   c "avq_plancache_stale_hits_total" "Plans served under a wrong epoch (must stay 0)"
     t.stale_hits;
-  let cache_counters () = Sync.protect t.lock (fun () -> Plan_cache.counters t.cache) in
+  let cache_counters () = Mutex.protect t.lock (fun () -> Plan_cache.counters t.cache) in
   Metrics.fn_counter m "avq_plancache_evictions_total"
     ~help:"Entries dropped to stay within capacity"
     (fi (fun () -> (cache_counters ()).Plan_cache.evictions));
@@ -180,7 +189,7 @@ let register_metrics t =
     Metrics.fn_counter m "avq_errors_total"
       ~help:"Failed statements by typed-error kind"
       ~labels:[ ("kind", err_kinds.(i)) ]
-      (fi (fun () -> Sync.Counter.get t.errs.(i)))
+      (fi (fun () -> Atomic.get t.errs.(i)))
   done;
   Metrics.fn_counter m "avq_slow_statements_total"
     ~help:"Statements at or above the tracer's slow-ms threshold" (fun () ->
@@ -206,17 +215,17 @@ let create ?(config = default_config) ?mviews cat =
         Plan_cache.create ~max_entries:config.max_entries
           ~max_bytes:config.max_bytes ();
       mviews = (match mviews with Some m -> m | None -> Matview.create ());
-      lock = Sync.create ();
-      calls = Sync.Counter.create ();
-      hits = Sync.Counter.create ();
-      rebinds = Sync.Counter.create ();
-      misses = Sync.Counter.create ();
-      recost_fallbacks = Sync.Counter.create ();
-      rebind_conflicts = Sync.Counter.create ();
-      stale_hits = Sync.Counter.create ();
-      opt_ms_total = Sync.Fsum.create ();
-      opt_ms_saved = Sync.Fsum.create ();
-      errs = Array.map (fun _ -> Sync.Counter.create ()) err_kinds;
+      lock = Mutex.create ();
+      calls = Atomic.make 0;
+      hits = Atomic.make 0;
+      rebinds = Atomic.make 0;
+      misses = Atomic.make 0;
+      recost_fallbacks = Atomic.make 0;
+      rebind_conflicts = Atomic.make 0;
+      stale_hits = Atomic.make 0;
+      opt_ms_total = Atomic.make 0.;
+      opt_ms_saved = Atomic.make 0.;
+      errs = Array.map (fun _ -> Atomic.make 0) err_kinds;
       metrics;
       stats = Stmt_stats.create ();
       tracer = None;
@@ -303,7 +312,7 @@ let checkpoint_locked t =
     Printf.sprintf "CHECKPOINT (%d bytes, through lsn %Ld)" bytes last
   | _ -> "CHECKPOINT skipped: no data directory attached"
 
-let checkpoint t = Sync.protect t.lock (fun () -> checkpoint_locked t)
+let checkpoint t = Mutex.protect t.lock (fun () -> checkpoint_locked t)
 
 (* Size-triggered checkpointing, checked after each committed mutation
    (lock already held). *)
@@ -324,7 +333,6 @@ let wal_commit_locked t lsn_opt =
   | _ -> ()
 
 let catalog t = t.cat
-let config t = t.cfg
 
 (* Core-aware default dop: divide the cores the runtime recommends among
    the pool workers that will run statements concurrently, never below 1.
@@ -352,7 +360,6 @@ let matviews t = t.mviews
 let metrics t = t.metrics
 let stats_store t = t.stats
 let set_tracer t tr = t.tracer <- tr
-let tracer t = t.tracer
 
 type stmt = {
   squery : Block.query;
@@ -399,7 +406,7 @@ let prepare t sql =
          against the refreshed catalog.  The textual trigger
          over-approximates, which only costs an unneeded refresh. *)
       if Sysview.references_system_view sql then
-        Sync.protect t.lock (fun () ->
+        Mutex.protect t.lock (fun () ->
             Sysview.refresh t.cat ~stats:t.stats ~mviews:t.mviews);
       let query = Binder.bind_sql t.cat sql in
       make_stmt ~parse_ms:((Unix.gettimeofday () -. t0) *. 1000.) query)
@@ -465,7 +472,7 @@ let optimize_and_cache ~work_mem ~dop t stmt ps query source =
   let r, decision =
     Matview.optimize ~options:(options ~work_mem ~dop t) t.cat t.mviews query
   in
-  Sync.Fsum.add t.opt_ms_total r.Optimizer.time_ms;
+  fsum_add t.opt_ms_total r.Optimizer.time_ms;
   let key = cache_key ~work_mem ~dop t stmt in
   if t.cfg.cache_enabled then
     Plan_cache.add t.cache
@@ -489,7 +496,7 @@ let optimize_and_cache ~work_mem ~dop t stmt ps query source =
 
 (* A plan served from the cache entry [e]. *)
 let served t (e : Plan_cache.entry) ~plan ~est source rewrite =
-  Sync.Fsum.add t.opt_ms_saved e.Plan_cache.opt_ms;
+  fsum_add t.opt_ms_saved e.Plan_cache.opt_ms;
   { plan; est; source; opt_ms = 0.; plan_ms = 0.; search = e.Plan_cache.search;
     rewrite }
 
@@ -503,17 +510,17 @@ let plan ?params ?(limits = no_limits) t stmt =
   let same_params = params_equal ps stmt.base_params in
   let query = if same_params then stmt.squery else Canon.substitute stmt.squery ps in
   let optimize counter source =
-    Option.iter Sync.Counter.incr counter;
+    Option.iter Atomic.incr counter;
     optimize_and_cache ~work_mem ~dop t stmt ps query source
   in
   let miss () = optimize (Some t.misses) Miss in
-  Sync.Counter.incr t.calls;
+  Atomic.incr t.calls;
   (* One critical section per call.  Holding the lock across the optimizer
      run serializes misses, which is exactly the pay-once semantics we want:
      a second worker racing on the same key blocks, then finds the entry and
      hits.  Cache-hit sections are microseconds. *)
   let p =
-    Sync.protect t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         let epoch = Catalog.epoch t.cat in
         if not t.cfg.cache_enabled then optimize None Uncached
         else
@@ -529,10 +536,10 @@ let plan ?params ?(limits = no_limits) t stmt =
           | Some entry when entry.Plan_cache.epoch <> epoch ->
             (* unreachable: [find] filters stale epochs; belt and suspenders
                so a stale plan can never be served silently. *)
-            Sync.Counter.incr t.stale_hits;
+            Atomic.incr t.stale_hits;
             miss ()
           | Some entry when params_equal ps entry.Plan_cache.params ->
-            Sync.Counter.incr t.hits;
+            Atomic.incr t.hits;
             served t entry ~plan:entry.Plan_cache.plan ~est:entry.Plan_cache.est
               Hit (Matview.From_cache entry.Plan_cache.mv)
           | Some entry when entry.Plan_cache.mv <> None ->
@@ -555,7 +562,7 @@ let plan ?params ?(limits = no_limits) t stmt =
                 <= (t.cfg.recost_ratio *. entry.Plan_cache.est.Cost_model.cost)
                    +. 1e-6
               then begin
-                Sync.Counter.incr t.rebinds;
+                Atomic.incr t.rebinds;
                 served t entry ~plan ~est Hit_rebound (Matview.From_cache None)
               end
               else optimize (Some t.recost_fallbacks) Recost_fallback))
@@ -932,23 +939,23 @@ type stats = {
 }
 
 let stats t =
-  let c = Sync.protect t.lock (fun () -> Plan_cache.counters t.cache) in
+  let c = Mutex.protect t.lock (fun () -> Plan_cache.counters t.cache) in
   {
-    calls = Sync.Counter.get t.calls;
-    hits = Sync.Counter.get t.hits;
-    rebinds = Sync.Counter.get t.rebinds;
-    misses = Sync.Counter.get t.misses;
-    recost_fallbacks = Sync.Counter.get t.recost_fallbacks;
-    rebind_conflicts = Sync.Counter.get t.rebind_conflicts;
-    stale_hits = Sync.Counter.get t.stale_hits;
+    calls = Atomic.get t.calls;
+    hits = Atomic.get t.hits;
+    rebinds = Atomic.get t.rebinds;
+    misses = Atomic.get t.misses;
+    recost_fallbacks = Atomic.get t.recost_fallbacks;
+    rebind_conflicts = Atomic.get t.rebind_conflicts;
+    stale_hits = Atomic.get t.stale_hits;
     invalidations = c.Plan_cache.invalidations;
     evictions = c.Plan_cache.evictions;
     entries = c.Plan_cache.entries;
     cache_bytes = c.Plan_cache.bytes;
-    opt_ms_total = Sync.Fsum.get t.opt_ms_total;
-    opt_ms_saved = Sync.Fsum.get t.opt_ms_saved;
+    opt_ms_total = Atomic.get t.opt_ms_total;
+    opt_ms_saved = Atomic.get t.opt_ms_saved;
     errors =
-      (let g i = Sync.Counter.get t.errs.(i) in
+      (let g i = Atomic.get t.errs.(i) in
        {
          io_faults = g 0;
          corruptions = g 1;
@@ -979,7 +986,7 @@ let pp_stats fmt s =
     s.errors.timeouts s.errors.cancellations s.errors.bad_statements
     s.errors.unavailable
 
-let invalidate_all t = Sync.protect t.lock (fun () -> Plan_cache.clear t.cache)
+let invalidate_all t = Mutex.protect t.lock (fun () -> Plan_cache.clear t.cache)
 
 (* ==== DML / materialized-view DDL ==== *)
 
@@ -1081,7 +1088,7 @@ let exec_statement t sql =
          r.started <- Unix.gettimeofday ();
          r.exec_t0 <- r.started;
          let tag =
-           Sync.protect t.lock (fun () ->
+           Mutex.protect t.lock (fun () ->
                let before = wal_appended t in
                Fun.protect
                  ~finally:(fun () -> r.wal_bytes <- wal_appended t - before)
@@ -1091,7 +1098,7 @@ let exec_statement t sql =
          tag))
 
 let render_matviews t =
-  Sync.protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Matview.views t.mviews with
       | [] -> "no materialized views"
       | vs ->
@@ -1125,8 +1132,6 @@ let render_matviews t =
 module Pool = struct
   type service = t
 
-  let protect = Sync.protect
-
   type outcome = (planned * Relation.t * Buffer_pool.stats, exn) result
 
   type future = {
@@ -1149,11 +1154,11 @@ module Pool = struct
     mutable stopping : bool;
     mutable domains : unit Domain.t list;
     nworkers : int;
-    executed : Sync.Counter.t;
+    executed : int Atomic.t;
   }
 
   let fulfil fut outcome =
-    protect fut.fm (fun () ->
+    Mutex.protect fut.fm (fun () ->
         fut.result <- Some outcome;
         Condition.broadcast fut.fc)
 
@@ -1165,7 +1170,7 @@ module Pool = struct
     let ctx = Exec_ctx.create ~work_mem:pool.svc.cfg.work_mem pool.svc.cat in
     let rec loop () =
       let job =
-        protect pool.qm (fun () ->
+        Mutex.protect pool.qm (fun () ->
             let rec wait () =
               if not (Queue.is_empty pool.jobs) then Some (Queue.pop pool.jobs)
               else if pool.stopping then None
@@ -1184,7 +1189,7 @@ module Pool = struct
           | outcome, _ -> outcome
           | exception e -> Error e
         in
-        Sync.Counter.incr pool.executed;
+        Atomic.incr pool.executed;
         fulfil fut outcome;
         loop ()
     in
@@ -1201,7 +1206,7 @@ module Pool = struct
         stopping = false;
         domains = [];
         nworkers = workers;
-        executed = Sync.Counter.create ();
+        executed = Atomic.make 0;
       }
     in
     pool.domains <-
@@ -1212,14 +1217,14 @@ module Pool = struct
       ~help:"Executor worker domains" (fun () -> float_of_int pool.nworkers);
     Metrics.gauge svc.metrics "avq_pool_queue_depth"
       ~help:"Jobs waiting in the pool queue" (fun () ->
-        float_of_int (protect pool.qm (fun () -> Queue.length pool.jobs)));
+        float_of_int (Mutex.protect pool.qm (fun () -> Queue.length pool.jobs)));
     Metrics.fn_counter svc.metrics "avq_pool_executed_total"
       ~help:"Jobs completed by the pool (successfully or not)" (fun () ->
-        float_of_int (Sync.Counter.get pool.executed));
+        float_of_int (Atomic.get pool.executed));
     pool
 
   let workers t = t.nworkers
-  let executed t = Sync.Counter.get t.executed
+  let executed t = Atomic.get t.executed
   let service t = t.svc
 
   let enqueue t input limits =
@@ -1231,7 +1236,7 @@ module Pool = struct
         fcancel = Atomic.make false;
       }
     in
-    protect t.qm (fun () ->
+    Mutex.protect t.qm (fun () ->
         if t.stopping then
           invalid_arg "Service.Pool: submit after shutdown";
         Queue.push { input; limits; fut } t.jobs;
@@ -1250,11 +1255,11 @@ module Pool = struct
 
   (* Non-blocking: lets a connection handler interleave "is it done yet?"
      with watching its client socket for disconnects. *)
-  let peek fut = protect fut.fm (fun () -> fut.result <> None)
+  let peek fut = Mutex.protect fut.fm (fun () -> fut.result <> None)
 
   let await fut =
     let outcome =
-      protect fut.fm (fun () ->
+      Mutex.protect fut.fm (fun () ->
           let rec wait () =
             match fut.result with
             | Some o -> o
@@ -1268,7 +1273,7 @@ module Pool = struct
 
   let shutdown t =
     let ds =
-      protect t.qm (fun () ->
+      Mutex.protect t.qm (fun () ->
           if t.stopping then []
           else begin
             t.stopping <- true;

@@ -13,7 +13,7 @@
     an older catalog epoch are never served.
 
     The service is shared-state safe: the plan cache and its counters live
-    behind a {!Sync} mutex (one critical section per {!plan} call, so an
+    behind one mutex (one critical section per {!plan} call, so an
     optimization is paid once per (fingerprint, algo, work_mem) even when
     workers race on a cold key), per-call counters are atomics, and
     execution runs outside any lock on the caller's own {!Exec_ctx} with
@@ -54,7 +54,6 @@ val create : ?config:config -> ?mviews:Matview.t -> Catalog.t -> t
     by default the service starts with an empty one. *)
 
 val catalog : t -> Catalog.t
-val config : t -> config
 
 (** {1 Durability}
 
@@ -222,8 +221,6 @@ val set_tracer : t -> Trace.tracer option -> unit
     parse / canonicalize / plan / execute → per-operator spans (a write:
     parse / apply) — and slow statements hit the slow-query log. *)
 
-val tracer : t -> Trace.tracer option
-
 val explain_analyze :
   ?params:Value.t list ->
   ?limits:session_limits ->
@@ -240,14 +237,10 @@ val explain_analyze_sql :
   t ->
   string ->
   (string, Avq_error.t * string) result
-(** {!explain_analyze} of SQL text, rendered by {!pp_analysis}; a typed
-    execution failure comes with the partial report. *)
-
-val pp_analysis :
-  t -> Format.formatter -> planned * Explain_analyze.t -> unit
-(** Render {!explain_analyze} output: an optimizer header (plan source,
-    algorithm, search-effort counters, group-by placement) followed by the
-    per-node estimated-vs-actual tree with q-errors. *)
+(** {!explain_analyze} of SQL text, rendered as an optimizer header (plan
+    source, algorithm, search-effort counters, group-by placement) over the
+    per-node estimated-vs-actual tree with q-errors; a typed execution
+    failure comes with the partial report. *)
 
 type error_stats = {
   io_faults : int;

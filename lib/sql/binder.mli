@@ -17,10 +17,6 @@
 
 exception Bind_error of string
 
-val bind_script : Catalog.t -> Sql_ast.script -> Block.query
-(** Process view definitions in order; the last statement must be a SELECT.
-    @raise Bind_error on resolution or well-formedness failures. *)
-
 val bind_sql : Catalog.t -> string -> Block.query
 (** Parse and bind a script given as text. *)
 

@@ -13,14 +13,9 @@
     fingerprint.  Plan templates are only ever re-bound at predicate
     positions, so this split keeps re-binding sound. *)
 
-val order_preds : Expr.pred list -> Expr.pred list
-(** Stable sort of conjuncts by their parameterized serialization.  Two
-    conjuncts equal up to constants keep their original relative order, so
-    extraction and substitution agree on parameter positions. *)
-
 val serialize : Block.query -> string
-(** Canonical template text: conjuncts ordered by {!order_preds}, predicate
-    constants rendered as [?]; everything else (aliases, tables, grouping
+(** Canonical template text: conjuncts stably sorted by their
+    parameterized serialization, predicate constants rendered as [?]; everything else (aliases, tables, grouping
     columns, aggregates, select list, ORDER BY, LIMIT) rendered literally.
     Deterministic across runs and OCaml versions. *)
 

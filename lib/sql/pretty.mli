@@ -1,8 +1,5 @@
 (** Render SQL ASTs back to text (used by the CLI and round-trip tests:
     [parse (print (parse s))] must equal [parse s]). *)
 
-val expr_to_string : Sql_ast.sexpr -> string
-val cond_to_string : Sql_ast.cond -> string
 val select_to_string : Sql_ast.select -> string
-val statement_to_string : Sql_ast.statement -> string
 val script_to_string : Sql_ast.script -> string

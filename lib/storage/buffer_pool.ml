@@ -69,8 +69,6 @@ let create ~frames =
     fexhausted = Atomic.make 0;
   }
 
-let frames t = t.capacity
-
 (* ---- fault injection ---- *)
 
 let set_faults t plan = t.faults <- plan
@@ -278,8 +276,6 @@ let reset_stats t =
   Atomic.set t.reads 0;
   Atomic.set t.writes 0;
   Atomic.set t.hits 0
-
-let io_total t = Atomic.get t.reads + Atomic.get t.writes
 
 let local_stats () =
   let c = Tally.get () in

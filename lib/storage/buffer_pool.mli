@@ -27,8 +27,6 @@ val create : frames:int -> t
 (** [create ~frames] makes a pool holding at most [frames] pages.
     @raise Invalid_argument if [frames < 1]. *)
 
-val frames : t -> int
-
 val read : t -> file:int -> page:int -> unit
 (** Access an existing page for reading; loads it (counting a physical read)
     if absent.
@@ -76,9 +74,6 @@ val reset_stats : t -> unit
 (** Zero the global counters.  Only meaningful on a quiescent,
     single-threaded pool (cold benchmark runs); per-domain tallies are
     monotonic and unaffected. *)
-
-val io_total : t -> int
-(** [reads + writes] — the cost-model's objective. *)
 
 val local_stats : unit -> stats
 (** Cumulative counters for IO charged by the {e calling domain} (across

@@ -29,7 +29,6 @@ let create ~pool ~file_id ?verify schema =
     page_hook = None;
   }
 
-let schema t = t.schema
 let file_id t = t.file_id
 let page_capacity t = t.page_capacity
 let nrows t = t.nrows
@@ -175,11 +174,6 @@ let to_seq t =
     end
   in
   from 0
-
-let of_relation ~pool ~file_id ?verify rel =
-  let t = create ~pool ~file_id ?verify (Relation.schema rel) in
-  append_all t (Relation.tuples rel);
-  t
 
 let to_relation t =
   let acc = ref [] in

@@ -22,7 +22,6 @@ val create :
     checksum-verification switch, usually shared across all heaps of one
     [Storage.t]; defaults to a private always-off switch. *)
 
-val schema : t -> Schema.t
 val file_id : t -> int
 val page_capacity : t -> int
 
@@ -67,8 +66,6 @@ val scan_segment : t -> page:int -> npages:int -> Tuple.t array * int * int
     not retain it across appends.  This is the batch executor's scan
     primitive: one pool touch per page and no per-tuple copying at all. *)
 
-val of_relation :
-  pool:Buffer_pool.t -> file_id:int -> ?verify:bool Atomic.t -> Relation.t -> t
 val to_relation : t -> Relation.t
 
 val drop : t -> unit

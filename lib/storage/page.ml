@@ -10,5 +10,3 @@ type rid = { page : int; slot : int }
 let compare_rid a b =
   let c = Stdlib.compare a.page b.page in
   if c <> 0 then c else Stdlib.compare a.slot b.slot
-
-let pp_rid ppf r = Format.fprintf ppf "(%d,%d)" r.page r.slot

@@ -21,4 +21,3 @@ type rid = { page : int; slot : int }
 (** Record identifier within a heap file. *)
 
 val compare_rid : rid -> rid -> int
-val pp_rid : Format.formatter -> rid -> unit

@@ -38,9 +38,6 @@ let drop_temp t heap =
 
 let live_temps t = Atomic.get t.temps_live
 
-let set_verify_checksums t on = Atomic.set t.verify on
-let verify_checksums t = Atomic.get t.verify
-
 let io_stats t = Buffer_pool.stats t.pool
 let reset_io t = Buffer_pool.reset_stats t.pool
 

@@ -29,12 +29,6 @@ val live_temps : t -> int
 (** Temp files created and not yet dropped, across all domains.  Non-zero
     after every statement of a run has finished means a leak. *)
 
-val set_verify_checksums : t -> bool -> unit
-(** Toggle page-checksum verification for every heap of this storage
-    (automatically turned on by {!Faults.install}). *)
-
-val verify_checksums : t -> bool
-
 val io_stats : t -> Buffer_pool.stats
 (** Global cumulative pool counters (all domains). *)
 

@@ -13,9 +13,6 @@ exception Error of string
 (** Refusals: a data directory created for a different workload identity,
     or a path that is not a directory. *)
 
-val wal_name : string
-(** ["wal.log"] within the data directory. *)
-
 type stats = {
   checkpoint_loaded : bool;
   tables_restored : int;

@@ -115,7 +115,6 @@ val truncate : writer -> unit
 
 val close : writer -> unit
 val set_crash : writer -> crash option -> unit
-val path : writer -> string
 val size : writer -> int
 val last_lsn : writer -> int64
 val fsync_mode : writer -> fsync_mode

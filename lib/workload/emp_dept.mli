@@ -33,6 +33,3 @@ val example2 : ?budget_limit:int -> unit -> Block.query
 (** Example 2: average salary per department with budget below
     [budget_limit] — a single-block query whose minimal invariant set is
     [{emp}]. *)
-
-val avg_by_dept_view : alias:string -> Block.view
-(** The aggregate view A1: [SELECT dno, AVG(sal) FROM emp GROUP BY dno]. *)

@@ -8,11 +8,6 @@ let int_schema = Schema.of_columns [ Schema.column ~qual:"t" "x" Datatype.Int ]
 
 let mk_tuples l = List.map (fun i -> Tuple.make [ Value.Int i ]) l
 
-let ints_of rel =
-  List.map
-    (fun t -> match Tuple.get t 0 with Value.Int i -> i | _ -> assert false)
-    (Relation.tuples rel)
-
 let batch_ints b =
   List.map
     (fun t -> match Tuple.get t 0 with Value.Int i -> i | _ -> assert false)
@@ -410,48 +405,6 @@ let parallel_spilling_join_io () =
   Alcotest.(check int) "parallel touches" 7582 (touches pio);
   Alcotest.(check int) "parallel reads" 82 pio.Buffer_pool.reads
 
-(* ---- differential property: executor = reference interpreter ---- *)
-
-let diff_catalogs =
-  lazy
-    [
-      ( "tpcd",
-        Tpcd.load
-          ~params:
-            { Tpcd.default_params with customers = 50; orders_per_customer = 3;
-              lines_per_order = 3; parts = 30; suppliers = 8 }
-          () );
-      ( "star",
-        Star.load
-          ~params:
-            { Star.default_params with days = 15; products = 25; stores = 5;
-              rows_per_day = 25 }
-          () );
-      ("chain", Chain.load ~rows:250 ~n:4 ());
-    ]
-
-let prop_executor_equals_reference =
-  QCheck.Test.make ~name:"executor = Logical.eval (random plans)"
-    ~count:36 QCheck.(pair small_nat (int_range 0 1))
-    (fun (seed, wm_pick) ->
-      let name, cat = List.nth (Lazy.force diff_catalogs) (seed mod 3) in
-      let rng = Rng.create ~seed:(seed * 7919) in
-      let q = Query_gen.generate ~complexity:`Rich rng cat in
-      let work_mem = if wm_pick = 0 then 4 else 32 in
-      let expected = Logical.eval cat (Block.query_logical cat q) in
-      List.for_all
-        (fun algo ->
-          let options =
-            { Optimizer.default_options with algorithm = algo; work_mem }
-          in
-          let plan = (Optimizer.optimize ~options cat q).Optimizer.plan in
-          let ctx = Exec_ctx.create ~work_mem cat in
-          if Relation.multiset_equal expected (Executor.run ctx plan) then true
-          else
-            QCheck.Test.fail_reportf "%s seed %d wm %d: result differs from Logical.eval"
-              name seed work_mem)
-        [ Optimizer.Traditional; Optimizer.Greedy_conservative; Optimizer.Paper ])
-
 let tests =
   [
     Alcotest.test_case "batch primitives" `Quick batch_basics;
@@ -466,5 +419,5 @@ let tests =
       `Quick pinned_io;
     Alcotest.test_case "parallel group over a spilling hash join drains its build once"
       `Quick parallel_spilling_join_io;
-    QCheck_alcotest.to_alcotest ~long:true prop_executor_equals_reference;
+    Oracle_tests.executor_equals_reference;
   ]

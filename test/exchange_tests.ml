@@ -1,9 +1,8 @@
-(* Morsel-driven parallelism: the exchange rewrite's shapes, the
-   differential property that a parallel plan's output is byte-identical
-   to the serial plan's at every dop (all three algorithms, spilling and
-   non-spilling work_mem), and error containment — a failing or timed-out
-   worker cancels its siblings, the morsel queues drain, every temp is
-   freed, and exactly one typed error surfaces. *)
+(* Morsel-driven parallelism: the exchange rewrite's shapes, parallel
+   output byte-identical to serial output on generated queries (the
+   oracle harness's dop leg), and error containment — a failing or
+   timed-out worker cancels its siblings, the morsel queues drain, every
+   temp is freed, and exactly one typed error surfaces. *)
 
 let col q n = Schema.column ~qual:q n Datatype.Int
 let le q n v = Expr.Cmp (Expr.Le, Expr.Col (col q n), Expr.Const (Value.Int v))
@@ -65,53 +64,6 @@ let rewrite_shapes () =
            ~arg:(Expr.Col (col "l" "qty")) "u" ]);
   Alcotest.(check bool) "Int SUM partials merge exactly" true
     (Exchange.parallel_group_ok [ sum "l" "price" "rev" ])
-
-(* ---- differential: parallel = serial, byte for byte -------------------- *)
-
-let diff_catalogs =
-  lazy
-    [
-      ( "tpcd",
-        Tpcd.load
-          ~params:
-            { Tpcd.default_params with customers = 50; orders_per_customer = 3;
-              lines_per_order = 3; parts = 30; suppliers = 8 }
-          () );
-      ( "star",
-        Star.load
-          ~params:
-            { Star.default_params with days = 15; products = 25; stores = 5;
-              rows_per_day = 25 }
-          () );
-      ("chain", Chain.load ~rows:250 ~n:4 ());
-    ]
-
-let prop_parallel_equals_serial =
-  QCheck.Test.make
-    ~name:"parallel plan output = serial plan output (dop 1, 2, 4)" ~count:18
-    QCheck.(pair small_nat (int_range 0 1))
-    (fun (seed, wm_pick) ->
-      let name, cat = List.nth (Lazy.force diff_catalogs) (seed mod 3) in
-      let rng = Rng.create ~seed:(seed * 7919) in
-      let q = Query_gen.generate ~complexity:`Rich rng cat in
-      let work_mem = if wm_pick = 0 then 4 else 32 in
-      List.for_all
-        (fun algo ->
-          let options =
-            { Optimizer.default_options with algorithm = algo; work_mem }
-          in
-          let plan = (Optimizer.optimize ~options cat q).Optimizer.plan in
-          let serial = run_batch ~work_mem cat plan in
-          List.for_all
-            (fun dop ->
-              let pplan = Exchange.parallelize ~dop plan in
-              let par = run_batch ~work_mem cat pplan in
-              same_bytes serial par
-              || QCheck.Test.fail_reportf
-                   "%s seed %d wm %d dop %d: parallel output diverged" name
-                   seed work_mem dop)
-            [ 1; 2; 4 ])
-        [ Optimizer.Traditional; Optimizer.Greedy_conservative; Optimizer.Paper ])
 
 (* ---- error containment ------------------------------------------------- *)
 
@@ -263,7 +215,7 @@ let fused_exchange_profile () =
 let tests =
   [
     Alcotest.test_case "rewrite shapes" `Quick rewrite_shapes;
-    QCheck_alcotest.to_alcotest ~long:true prop_parallel_equals_serial;
+    Oracle_tests.parallel_equals_serial;
     Alcotest.test_case "worker fault cancels siblings" `Quick
       worker_fault_containment;
     Alcotest.test_case "deadline stops morsel workers" `Quick

@@ -1,7 +1,5 @@
 (* External sort internals and execution-context hygiene. *)
 
-let int_schema = Schema.of_columns [ Schema.column ~qual:"t" "x" Datatype.Int ]
-
 let mk_tuples l = List.map (fun i -> Tuple.make [ Value.Int i ]) l
 
 let multi_pass_merge () =

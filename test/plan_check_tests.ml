@@ -1,33 +1,8 @@
 (* Plan validation: every plan the optimizers emit must pass the static
-   checker, and the checker must reject planner-invariant violations. *)
+   checker (the oracle harness's algorithms leg, at 120 customers), and the
+   checker must reject planner-invariant violations. *)
 
 let c ~q n = Schema.column ~qual:q n Datatype.Int
-
-let all_optimizer_plans_valid () =
-  let cat = Tpcd.load ~params:{ Tpcd.default_params with customers = 120 } () in
-  let queries =
-    [ Tpcd.q_big_spenders (); Tpcd.q_small_quantity_parts (); Tpcd.q_two_views () ]
-  in
-  let rng = Rng.create ~seed:31 in
-  let random = List.init 10 (fun _ -> Query_gen.generate rng cat) in
-  List.iter
-    (fun q ->
-      List.iter
-        (fun algorithm ->
-          let r =
-            Optimizer.optimize ~options:{ Optimizer.default_options with algorithm } cat q
-          in
-          match Plan_check.check cat r.Optimizer.plan with
-          | Ok () -> ()
-          | Error msg ->
-            Alcotest.failf "invalid plan from %s: %s@.%a"
-              (match algorithm with
-               | Optimizer.Traditional -> "traditional"
-               | Optimizer.Greedy_conservative -> "greedy"
-               | Optimizer.Paper -> "paper")
-              msg Physical.pp r.Optimizer.plan)
-        [ Optimizer.Traditional; Optimizer.Greedy_conservative; Optimizer.Paper ])
-    (queries @ random)
 
 let rejects_unsorted_merge () =
   let cat = Emp_dept.load ~params:{ Emp_dept.default_params with emps = 100; depts = 4 } () in
@@ -86,8 +61,7 @@ let rejects_missing_index () =
 
 let tests =
   [
-    Alcotest.test_case "all optimizer plans pass validation" `Slow
-      all_optimizer_plans_valid;
+    Oracle_tests.all_optimizer_plans_valid;
     Alcotest.test_case "rejects unsorted merge join" `Quick rejects_unsorted_merge;
     Alcotest.test_case "rejects non-rescannable BNL inner" `Quick
       rejects_nonrescannable_bnl;

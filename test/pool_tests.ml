@@ -1,95 +1,9 @@
-(* The worker pool: K domains sharing one service must be observationally
-   identical to serial replay — same result multisets, cache counters that
-   add up exactly, no stale hits — and worker-side exceptions must surface
-   through [await] in the submitter. *)
+(* The worker pool: pooled sessions against the oracle with counters that
+   add up (the oracle harness's pool leg), worker-side exceptions surface
+   through [await] in the submitter, and shutdown is idempotent. *)
 
 let tiny = { Tpcd.default_params with customers = 60; orders_per_customer = 3;
              lines_per_order = 3; parts = 40; suppliers = 10 }
-
-let perturb rng v =
-  match v with
-  | Value.Int i -> Value.Int (i + Rng.in_range rng (-2) 2)
-  | Value.Float f -> Value.Float (f *. (0.95 +. (0.1 *. Rng.float rng)))
-  | Value.String _ | Value.Bool _ | Value.Date _ -> v
-
-(* A repeated-template workload, like a session trace: a few templates, many
-   perturbed calls. *)
-let make_calls cat ~templates ~calls seed =
-  let rng = Rng.create ~seed in
-  let ts =
-    Array.init templates (fun _ -> Query_gen.generate ~complexity:`Simple rng cat)
-  in
-  Array.init calls (fun _ ->
-      let q = ts.(Rng.int rng templates) in
-      (q, List.map (perturb rng) (Canon.params q)))
-
-let run_serial cat calls =
-  let svc = Service.create cat in
-  let results =
-    Array.map
-      (fun (q, ps) ->
-        let _, rel, _ = Service.execute ~params:ps svc (Service.prepare_query svc q) in
-        rel)
-      calls
-  in
-  (results, Service.stats svc)
-
-let run_pooled cat ~workers calls =
-  let svc = Service.create cat in
-  let results =
-    Service.Pool.with_pool ~workers svc (fun pool ->
-        let futs =
-          Array.map
-            (fun (q, ps) ->
-              Service.Pool.submit ~params:ps pool (Service.prepare_query svc q))
-            calls
-        in
-        Array.map (fun f -> let _, rel, _ = Service.Pool.await f in rel) futs)
-  in
-  (results, Service.stats svc)
-
-let counters_add_up (s : Service.stats) =
-  s.Service.hits + s.Service.rebinds + s.Service.misses
-  + s.Service.recost_fallbacks + s.Service.rebind_conflicts
-  = s.Service.calls
-
-let differential ~workers () =
-  let cat = Tpcd.load ~params:tiny () in
-  let calls = make_calls cat ~templates:5 ~calls:40 7 in
-  let serial, _ = run_serial cat calls in
-  let pooled, stats = run_pooled cat ~workers calls in
-  Array.iteri
-    (fun i rel ->
-      Alcotest.(check bool)
-        (Printf.sprintf "call %d multiset-identical to serial" i)
-        true
-        (Relation.multiset_equal serial.(i) rel))
-    pooled;
-  Alcotest.(check int) "every call accounted" (Array.length calls)
-    stats.Service.calls;
-  Alcotest.(check bool) "hits+rebinds+misses+fallbacks+conflicts = calls" true
-    (counters_add_up stats);
-  Alcotest.(check int) "no stale hits" 0 stats.Service.stale_hits
-
-(* Optimization is paid once per (fingerprint, algo, work_mem) even when all
-   workers race on a cold cache: misses <= distinct templates. *)
-let pay_once () =
-  let cat = Tpcd.load ~params:tiny () in
-  let calls = make_calls cat ~templates:4 ~calls:32 11 in
-  let _, stats = run_pooled cat ~workers:4 calls in
-  let distinct =
-    Array.fold_left
-      (fun acc (q, _) ->
-        let k = Canon.serialize q in
-        if List.mem k acc then acc else k :: acc)
-      [] calls
-    |> List.length
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "misses (%d) bounded by distinct templates (%d)"
-       stats.Service.misses distinct)
-    true
-    (stats.Service.misses <= distinct)
 
 let exceptions_propagate () =
   let cat = Tpcd.load ~params:tiny () in
@@ -134,9 +48,9 @@ let shutdown_semantics () =
 
 let tests =
   [
-    Alcotest.test_case "pool(2) differential vs serial" `Quick (differential ~workers:2);
-    Alcotest.test_case "pool(4) differential vs serial" `Quick (differential ~workers:4);
-    Alcotest.test_case "cold cache pays optimization once" `Quick pay_once;
+    Oracle_tests.pool_differential ~workers:2;
+    Oracle_tests.pool_differential ~workers:4;
+    Oracle_tests.pool_pays_once;
     Alcotest.test_case "worker exceptions propagate through await" `Quick
       exceptions_propagate;
     Alcotest.test_case "shutdown is idempotent and rejects new work" `Quick

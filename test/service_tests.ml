@@ -1,9 +1,7 @@
 (* The session layer: fingerprint stability, canonicalization sharing, LRU
-   eviction order, catalog-epoch invalidation, and the property that a
-   cache-served plan is indistinguishable from a freshly optimized one. *)
-
-let tiny = { Tpcd.default_params with customers = 60; orders_per_customer = 3;
-             lines_per_order = 3; parts = 40; suppliers = 10 }
+   eviction order, catalog-epoch invalidation, re-binding several bounds on
+   one column, and cached and re-bound plans on generated queries (the
+   oracle harness's plan-cache leg). *)
 
 (* Published FNV-1a 64-bit test vectors: the fingerprint must match them on
    any OCaml version (the whole point of not using Hashtbl.hash). *)
@@ -121,58 +119,6 @@ let epoch_invalidation () =
   Alcotest.(check int) "no stale hits ever" 0 s.Service.stale_hits;
   check_source "re-cached plan hits again" Service.Hit (Service.plan svc stmt)
 
-(* For any generated query: serving from the cache (same parameters) yields
-   a plan with identical estimated cost and identical EXPLAIN rendering to a
-   fresh optimizer run. *)
-let prop_cached_plan_identity cat =
-  QCheck.Test.make ~name:"cache-served plan = freshly optimized plan"
-    ~count:20
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let rng = Rng.create ~seed in
-      let q = Query_gen.generate ~complexity:`Rich rng cat in
-      let svc = Service.create cat in
-      let stmt = Service.prepare_query svc q in
-      let first = Service.plan svc stmt in
-      let served = Service.plan svc stmt in
-      let fresh = Optimizer.optimize cat q in
-      first.Service.source = Service.Miss
-      && served.Service.source = Service.Hit
-      && served.Service.est.Cost_model.cost = fresh.Optimizer.est.Cost_model.cost
-      && Physical.to_string served.Service.plan
-         = Physical.to_string fresh.Optimizer.plan)
-
-(* Re-binding a cached template to perturbed parameters must still compute
-   the same rows as optimizing those parameters from scratch. *)
-let rebound_plans_are_correct () =
-  let cat = Tpcd.load ~params:tiny () in
-  let svc = Service.create cat in
-  let rng = Rng.create ~seed:99 in
-  let perturb v =
-    match v with
-    | Value.Int i -> Value.Int (i + Rng.in_range rng (-4) 4)
-    | Value.Float f -> Value.Float (f *. 0.9)
-    | _ -> v
-  in
-  for i = 1 to 6 do
-    let q = Query_gen.generate ~complexity:`Rich rng cat in
-    let stmt = Service.prepare_query svc q in
-    ignore (Service.plan svc stmt);
-    let ps = List.map perturb (Service.stmt_params stmt) in
-    let p, rel, _io = Service.execute ~params:ps svc stmt in
-    (match p.Service.source with
-     | Service.Hit | Service.Hit_rebound | Service.Rebind_conflict
-     | Service.Recost_fallback -> ()
-     | s ->
-       Alcotest.failf "query %d: unexpected source %s" i (Service.source_label s));
-    let fresh = Optimizer.optimize cat (Canon.substitute q ps) in
-    let ctx = Exec_ctx.create cat in
-    let expected = Executor.run ctx fresh.Optimizer.plan in
-    if not (Relation.multiset_equal expected rel) then
-      Alcotest.failf "query %d: re-bound plan computed different rows" i
-  done;
-  Alcotest.(check int) "no stale hits" 0 (Service.stats svc).Service.stale_hits
-
 (* Regression: two bound predicates on one indexed column ('e.dno = ?1 AND
    e.dno <= ?2') both fold into the index bounds, and only the tightest value
    survives as the bound.  Prepared with (10, 20) the tightest bound comes
@@ -261,8 +207,7 @@ let tests =
     Alcotest.test_case "LRU eviction order" `Quick lru_eviction_order;
     Alcotest.test_case "catalog epoch counter" `Quick epoch_counter;
     Alcotest.test_case "epoch invalidation" `Quick epoch_invalidation;
-    Alcotest.test_case "re-bound plans compute the same rows" `Quick
-      rebound_plans_are_correct;
+    Oracle_tests.rebound_plans;
     Alcotest.test_case "re-binding honours multiple bounds on one column"
       `Quick rebind_multi_bound_same_column;
     Alcotest.test_case "explicit invalidation is counted" `Quick
@@ -271,6 +216,5 @@ let tests =
       substitute_rejects_type_mismatch;
     Alcotest.test_case "replay statement splitting" `Quick
       replay_splits_statements;
-    QCheck_alcotest.to_alcotest
-      (prop_cached_plan_identity (Tpcd.load ~params:tiny ()));
+    Oracle_tests.cached_plan_identity;
   ]

@@ -1,21 +1,9 @@
-(* Star-schema workload: correctness across algorithms, invariant grouping
-   on the dimension joins, and pull-up over the self-referencing view. *)
+(* Star-schema workload: the named queries through every oracle leg,
+   ORDER BY, invariant grouping on the dimension joins, and pull-up over
+   the self-referencing view. *)
 
 let tiny =
   { Star.default_params with days = 30; products = 50; stores = 8; rows_per_day = 40 }
-
-let check q algo cat =
-  let expected = Block.reference_eval cat q in
-  let options = { Optimizer.default_options with algorithm = algo } in
-  let got, _ = Optimizer.run ~options cat q in
-  Relation.multiset_equal expected got
-
-let all_algos name make () =
-  let cat = Star.load ~params:tiny () in
-  let q = make () in
-  List.iter
-    (fun algo -> Alcotest.(check bool) name true (check q algo cat))
-    [ Optimizer.Traditional; Optimizer.Greedy_conservative; Optimizer.Paper ]
 
 let category_revenue_sorted () =
   let cat = Star.load ~params:tiny () in
@@ -55,10 +43,8 @@ let pullup_chosen_when_selective () =
 
 let tests =
   [
-    Alcotest.test_case "category revenue, all algorithms" `Quick
-      (all_algos "category_revenue" (fun () -> Star.q_category_revenue ()));
-    Alcotest.test_case "above-average products, all algorithms" `Quick
-      (all_algos "above_avg" (fun () -> Star.q_above_average_products ()));
+    Oracle_tests.category_revenue;
+    Oracle_tests.above_average_products;
     Alcotest.test_case "ORDER BY month respected" `Quick category_revenue_sorted;
     Alcotest.test_case "flat star query normalizes without views" `Quick dimension_mis;
     Alcotest.test_case "paper never above traditional" `Quick pullup_chosen_when_selective;

@@ -20,7 +20,8 @@ let () =
       ("moveround", Moveround_tests.tests);
       ("smoke", Smoke.tests);
       ("sql", Sql_tests.tests @ Sql_tests.more_tests @ Sql_tests.sugar_tests);
-      ("workload", Workload_tests.tests @ Workload_tests.fuzz_tests);
+      ("workload", Oracle_tests.workload);
+      ("oracle", Oracle_tests.tests);
       ("star", Star_tests.tests);
       ("matview", Matview_tests.tests);
       ("service", Service_tests.tests);
