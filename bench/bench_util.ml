@@ -89,12 +89,6 @@ type outcome = {
   plan : Physical.t;
 }
 
-(* Correctness gates: an experiment whose result is wrong (not merely slow)
-   calls [fail_gate]; [main] still runs and records every selected
-   experiment, then exits non-zero. *)
-let failed_gates : string list ref = ref []
-let fail_gate msg = failed_gates := msg :: !failed_gates
-
 let algo_name = function
   | Optimizer.Traditional -> "traditional"
   | Optimizer.Greedy_conservative -> "greedy"
@@ -149,7 +143,6 @@ let rec count_joins = function
   | Physical.Project p -> count_joins p.input
   | Physical.Materialize m -> count_joins m.input
   | Physical.Limit l -> count_joins l.input
-  | Physical.Exchange e -> count_joins e.input
 
 let rec count_groups = function
   | Physical.Hash_group g | Physical.Sort_group g -> 1 + count_groups g.input
@@ -163,7 +156,6 @@ let rec count_groups = function
   | Physical.Project p -> count_groups p.input
   | Physical.Materialize m -> count_groups m.input
   | Physical.Limit l -> count_groups l.input
-  | Physical.Exchange e -> count_groups e.input
 
 (* Inputs of the topmost group-by operators. *)
 let rec top_group_inputs = function
@@ -178,7 +170,6 @@ let rec top_group_inputs = function
   | Physical.Project p -> top_group_inputs p.input
   | Physical.Materialize m -> top_group_inputs m.input
   | Physical.Limit l -> top_group_inputs l.input
-  | Physical.Exchange e -> top_group_inputs e.input
 
 (* Compact shape signature: (#groups, joins below the topmost group-bys,
    joins above them).  "Joins above > 0" means group-bys were evaluated

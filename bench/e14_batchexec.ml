@@ -36,7 +36,7 @@ let bench_pipeline ~cat ~name ~input_rows plan =
   in
   Bench_util.Json.record ~name:(name ^ ".batch")
     ~config:
-      [ ("engine", "batch"); ("dop", "1");
+      [ ("engine", "batch");
         ("cores", string_of_int (Domain.recommended_domain_count ()));
         ("input_rows", string_of_int input_rows) ]
     ~extra:[ ("rows_per_sec_min", o.rps_min); ("rows_per_sec_max", o.rps_max) ]

@@ -46,38 +46,6 @@ let work_mem =
     & opt int 32
     & info [ "work-mem" ] ~docv:"PAGES" ~doc:"Operator memory budget in pages.")
 
-let dop =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "dop" ] ~docv:"N"
-        ~doc:
-          "Degree of intra-query parallelism: eligible plans run their scan \
-           pipeline on $(docv) morsel worker domains (1 = serial).")
-
-let check_dop dop =
-  if dop < 1 then begin
-    Format.eprintf "avq: --dop must be >= 1@.";
-    exit 1
-  end
-
-(* session / serve: default dop is core-aware, divided among the workers *)
-let dop_auto =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "dop" ] ~docv:"N"
-        ~doc:
-          "Degree of intra-query parallelism.  Default: the machine's \
-           recommended domain count divided by the worker count (never \
-           below 1), so workers times dop stays near the core count.")
-
-let resolve_dop ~workers = function
-  | Some d ->
-    check_dop d;
-    d
-  | None -> Service.auto_dop ~workers
-
 let sql_arg =
   Arg.(
     value
@@ -107,8 +75,8 @@ let read_sql = function
   | Some s -> s
   | None -> In_channel.input_all In_channel.stdin
 
-let options algorithm work_mem dop =
-  { Optimizer.default_options with algorithm; work_mem; dop }
+let options algorithm work_mem =
+  { Optimizer.default_options with algorithm; work_mem }
 
 let with_query db scale seed sql f =
   let cat = load_db db scale seed in
@@ -127,11 +95,10 @@ let with_query db scale seed sql f =
 (* ---- commands ---- *)
 
 let explain_cmd =
-  let run algo db scale seed work_mem dop sql =
-    check_dop dop;
+  let run algo db scale seed work_mem sql =
     with_query db scale seed sql (fun cat query ->
         Format.printf "Canonical form:@.%a@.@." Block.pp query;
-        let r = Optimizer.optimize ~options:(options algo work_mem dop) cat query in
+        let r = Optimizer.optimize ~options:(options algo work_mem) cat query in
         Format.printf "Plan (estimated %a):@.%a@." Cost_model.pp_est r.Optimizer.est
           Physical.pp r.Optimizer.plan;
         Format.printf "@.Per-node estimates:@.%a" (Explain.pp cat ~work_mem)
@@ -153,20 +120,19 @@ let explain_cmd =
   in
   let doc = "Show the canonical multi-block form and the chosen plan." in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const run $ algo $ db $ scale $ seed $ work_mem $ dop $ sql_arg)
+    Term.(const run $ algo $ db $ scale $ seed $ work_mem $ sql_arg)
 
 let run_cmd =
-  let run algo db scale seed work_mem dop sql =
-    check_dop dop;
+  let run algo db scale seed work_mem sql =
     with_query db scale seed sql (fun cat query ->
-        let r = Optimizer.optimize ~options:(options algo work_mem dop) cat query in
+        let r = Optimizer.optimize ~options:(options algo work_mem) cat query in
         let ctx = Exec_ctx.create ~work_mem cat in
         let rel, io = Executor.run_measured ctx r.Optimizer.plan in
         Format.printf "%a@.@.(%a)@." Relation.pp rel Buffer_pool.pp_stats io)
   in
   let doc = "Optimize and execute a query, printing the result and measured IO." in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ algo $ db $ scale $ seed $ work_mem $ dop $ sql_arg)
+    Term.(const run $ algo $ db $ scale $ seed $ work_mem $ sql_arg)
 
 let compare_cmd =
   let run db scale seed work_mem sql =
@@ -176,7 +142,7 @@ let compare_cmd =
         List.iter
           (fun (name, algorithm) ->
             let r =
-              Optimizer.optimize ~options:(options algorithm work_mem 1) cat query
+              Optimizer.optimize ~options:(options algorithm work_mem) cat query
             in
             let ctx = Exec_ctx.create ~work_mem cat in
             let rel, io = Executor.run_measured ctx r.Optimizer.plan in
@@ -358,7 +324,7 @@ let session_cmd =
             "Slow-query log: statements taking at least $(docv) milliseconds \
              are reported to stderr with their trace id.")
   in
-  let run algo db scale seed work_mem dop no_cache recost_ratio workers
+  let run algo db scale seed work_mem no_cache recost_ratio workers
       timeout_ms spill_quota fault_plan metrics_out trace_out slow_ms file =
     if recost_ratio < 1.0 then begin
       Format.eprintf "avq session: --recost-ratio must be >= 1.0@.";
@@ -368,7 +334,6 @@ let session_cmd =
       Format.eprintf "avq session: --workers must be >= 1@.";
       exit 1
     end;
-    let dop = resolve_dop ~workers dop in
     (* Ctrl-C / SIGTERM mid-replay: abort in-flight statements at their next
        batch boundary, then fall through the normal epilogue so traces and
        metrics still flush and temps are verifiably gone. *)
@@ -404,7 +369,6 @@ let session_cmd =
         recost_ratio;
         statement_timeout_ms = timeout_ms;
         spill_quota_pages = spill_quota;
-        dop;
       }
     in
     let svc = Service.create ~config cat in
@@ -475,7 +439,7 @@ let session_cmd =
   in
   Cmd.v (Cmd.info "session" ~doc)
     Term.(
-      const run $ algo $ db $ scale $ seed $ work_mem $ dop_auto $ no_cache
+      const run $ algo $ db $ scale $ seed $ work_mem $ no_cache
       $ recost_ratio $ workers $ timeout_ms $ spill_quota $ fault_plan
       $ metrics_out $ trace_out $ slow_ms $ file)
 
@@ -625,6 +589,16 @@ let serve_cmd =
              ($(b,avq_stat_statements)) after startup, so the first scrape \
              of a recovered server starts from zero.")
   in
+  (* Kept so existing launch scripts that pass [--dop 1] still start. *)
+  let dop =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "dop" ] ~docv:"N"
+          ~doc:
+            "Accepted only as 1: statements always run serially.  Any other \
+             value is rejected.")
+  in
   let run algo db scale seed work_mem dop host port workers max_connections
       max_queue drain_grace_ms timeout_ms spill_quota metrics_out trace_out
       slow_ms data_dir wal_fsync wal_group_ms checkpoint_bytes http_port
@@ -645,7 +619,13 @@ let serve_cmd =
       Format.eprintf "avq serve: --checkpoint-bytes must be >= 0@.";
       exit 1
     end;
-    let dop = resolve_dop ~workers dop in
+    (match dop with
+     | Some d when d <> 1 ->
+       Format.eprintf
+         "avq serve: --dop %d: intra-query parallelism was removed; only \
+          --dop 1 is accepted@." d;
+       exit 1
+     | _ -> ());
     let tracer =
       match (trace_out, slow_ms) with
       | None, None -> None
@@ -763,7 +743,6 @@ let serve_cmd =
         work_mem;
         statement_timeout_ms = timeout_ms;
         spill_quota_pages = spill_quota;
-        dop;
       }
     in
     let svc = Service.create ~config ?mviews cat in
@@ -816,9 +795,9 @@ let serve_cmd =
         Service.Pool.with_pool ~workers svc (fun pool ->
             let server = Server.start ~config:server_config pool in
             Format.printf
-              "avq serve: listening on %s:%d (%d workers, dop %d, %d max \
+              "avq serve: listening on %s:%d (%d workers, %d max \
                connections, %d statement queue)@."
-              host (Server.port server) workers dop max_connections max_queue;
+              host (Server.port server) workers max_connections max_queue;
             Option.iter
               (fun h ->
                 Http.set_ready h;
@@ -843,7 +822,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ algo $ db $ scale $ seed $ work_mem $ dop_auto $ host
+      const run $ algo $ db $ scale $ seed $ work_mem $ dop $ host
       $ port ~default:5499 $ workers $ max_connections $ max_queue
       $ drain_grace_ms $ timeout_ms $ spill_quota $ metrics_out $ trace_out
       $ slow_ms $ data_dir $ wal_fsync $ wal_group_ms $ checkpoint_bytes

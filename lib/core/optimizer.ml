@@ -5,13 +5,11 @@ type options = {
   work_mem : int;
   paper : Paper_opt.options;
   predicate_moveround : bool;
-  dop : int;
-  parallel_threshold : float;
 }
 
 let default_options =
   { algorithm = Paper; work_mem = 32; paper = Paper_opt.default_options;
-    predicate_moveround = true; dop = 1; parallel_threshold = 200. }
+    predicate_moveround = true }
 
 type result = {
   plan : Physical.t;
@@ -76,23 +74,6 @@ let optimize ?(options = default_options) cat query =
         let (_, e) as w = baseline mode in
         if e.Cost_model.cost < best.Cost_model.cost then w else acc)
       own witnesses
-  in
-  (* Intra-query parallelism: rewrite the serial plan around an exchange
-     when workers are available and the estimated work amortizes the
-     per-worker startup toll (costed by the parallel-fraction model in
-     [Cost_model]).  Keep the parallel plan only if the model agrees it is
-     cheaper — tiny plans stay serial. *)
-  let plan, est =
-    if options.dop > 1 && est.Cost_model.cost >= options.parallel_threshold
-    then begin
-      let pplan = Exchange.parallelize ~dop:options.dop plan in
-      if not (Exchange.has_exchange pplan) then (plan, est)
-      else
-        let pest = Cost_model.estimate cat ~work_mem:options.work_mem pplan in
-        if pest.Cost_model.cost < est.Cost_model.cost then (pplan, pest)
-        else (plan, est)
-    end
-    else (plan, est)
   in
   { plan; est; search; report;
     time_ms = (Unix.gettimeofday () -. t0) *. 1000. }

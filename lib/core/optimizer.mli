@@ -27,19 +27,11 @@ type options = {
   predicate_moveround : bool;
       (** run {!Predicate_transfer} first (on for every algorithm by
           default — the paper treats it as pre-existing technique) *)
-  dop : int;
-      (** degree of intra-query parallelism: when [> 1], eligible plans are
-          wrapped with [Physical.Exchange] so morsel workers fan out over
-          that many domains *)
-  parallel_threshold : float;
-      (** minimum estimated serial cost before the exchange rewrite is
-          considered — below it, worker startup dominates any speedup *)
 }
 
 val default_options : options
 (** [Paper] algorithm, 32 pages of work memory, default restrictions,
-    predicate move-around on, [dop = 1] (serial), parallel threshold of
-    200 cost units. *)
+    predicate move-around on. *)
 
 type result = {
   plan : Physical.t;  (** full plan, including the final projection *)

@@ -52,7 +52,6 @@ let rec equi_pairs = function
   | Physical.Materialize m -> equi_pairs m.input
   | Physical.Hash_group g | Physical.Sort_group g -> equi_pairs g.input
   | Physical.Limit l -> equi_pairs l.input
-  | Physical.Exchange e -> equi_pairs e.input
   | Physical.Seq_scan _ | Physical.Index_scan _ -> []
 
 (* Estimated post-filter cardinality of the scan providing [alias]. *)
@@ -92,7 +91,6 @@ let rec scan_rows cat env alias = function
   | Physical.Materialize m -> scan_rows cat env alias m.input
   | Physical.Hash_group g | Physical.Sort_group g -> scan_rows cat env alias g.input
   | Physical.Limit l -> scan_rows cat env alias l.input
-  | Physical.Exchange e -> scan_rows cat env alias e.input
 
 (* Plan-aware group count used by [estimate]: NDVs are capped by the
    filtered cardinality of the scan each key column comes from, grouping
@@ -189,10 +187,6 @@ let group_rows_in_plan cat env ~input_rows input keys =
   end
 
 let plan_aware_grouping = ref true
-
-(* Parallel-fraction cost model for [Exchange] (see its [est_node] case). *)
-let parallel_fraction = 0.85
-let exchange_startup_cost = 4.0
 
 let index_entry_bytes = 16  (* key + rid per leaf entry *)
 
@@ -380,20 +374,6 @@ and est_node cat env ~work_mem plan =
           0 g.aggs
     in
     { rows; width; pages = pages_of ~rows ~width; cost = e.cost }
-  | Physical.Exchange x ->
-    let e = recur x.input in
-    let d = float_of_int (max 1 x.dop) in
-    (* Amdahl parallel-fraction model: a fraction [parallel_fraction] of the
-       input's work divides across [dop] workers; the rest (build sides,
-       merge phase, queue hand-off) stays serial.  Each worker pays a fixed
-       startup toll (domain spawn + context fork), so small plans cost MORE
-       through the exchange than serially — exactly the signal the
-       optimizer's threshold gate keys on. *)
-    let cost =
-      (exchange_startup_cost *. d)
-      +. (((parallel_fraction /. d) +. (1. -. parallel_fraction)) *. e.cost)
-    in
-    { e with cost }
 
 let pp_est ppf e =
   Format.fprintf ppf "rows=%.1f width=%dB pages=%.1f cost=%.1f" e.rows e.width

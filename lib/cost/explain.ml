@@ -17,7 +17,6 @@ let node_label = function
   | Physical.Project _ -> "Project"
   | Physical.Materialize _ -> "Materialize"
   | Physical.Limit l -> Printf.sprintf "Limit %d" l.count
-  | Physical.Exchange e -> Printf.sprintf "Exchange dop=%d" e.dop
 
 let children = Physical.inputs
 

@@ -15,17 +15,6 @@ let once close =
       close ()
     end
 
-let of_batches schema batches =
-  let pending = ref batches in
-  let next_batch () =
-    match !pending with
-    | [] -> None
-    | b :: rest ->
-      pending := rest;
-      Some b
-  in
-  { schema; next_batch; close = (fun () -> pending := []) }
-
 (* Chunk a row array into batches of [Batch.default_rows]. *)
 let of_rows schema rows =
   let n = Array.length rows in

@@ -13,7 +13,6 @@ type t = {
 val once : (unit -> unit) -> unit -> unit
 (** Make a close function idempotent (second and later calls are no-ops). *)
 
-val of_batches : Schema.t -> Batch.t list -> t
 val of_rows : Schema.t -> Tuple.t array -> t
 (** Serve an array as batches of {!Batch.default_rows}. *)
 

@@ -29,25 +29,6 @@ let create ?(work_mem = 32) cat =
     guarded = false;
   }
 
-(* A morsel worker's view of the statement: same catalog, budget and limits
-   (the cancel token is the SAME atomic, so cancelling the statement stops
-   every worker), but its own temp list and spill counter — temps allocated
-   on a worker domain are dropped by that worker — and no profiler (the
-   exchange operator aggregates worker stats itself). *)
-let fork t =
-  {
-    cat = t.cat;
-    work_mem = t.work_mem;
-    temps = [];
-    profiler = None;
-    deadline = t.deadline;
-    timeout_ms = t.timeout_ms;
-    cancel_token = t.cancel_token;
-    spill_quota = t.spill_quota;
-    spill_pages = 0;
-    guarded = t.guarded;
-  }
-
 let profiler t = t.profiler
 let set_profiler t p = t.profiler <- p
 

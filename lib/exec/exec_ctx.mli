@@ -15,13 +15,6 @@ val create : ?work_mem:int -> Catalog.t -> t
 val catalog : t -> Catalog.t
 val work_mem : t -> int
 
-val fork : t -> t
-(** A morsel worker's view of the statement: shares the catalog, memory
-    budget, deadline and the {e same} cancellation token (cancelling the
-    statement stops every worker), but owns a fresh temp list / spill
-    counter and carries no profiler — the exchange operator aggregates
-    per-worker stats itself. *)
-
 val storage : t -> Storage.t
 
 val temp : t -> Schema.t -> Heap_file.t

@@ -132,23 +132,22 @@ let int_upgrade ia (aggs : Aggregate.t list) acc =
 
 (* ---- the group kernel ----
 
-   One group table serves the serial hash group and each worker of the
-   parallel one; the sort group folds its one open group with the same
-   cells.  A table is keyed by the single key value ([VH]: no per-row key
-   tuple) or by the key tuple ([TH]).  A group's cell is a plain
-   [int array] while every aggregate is an int COUNT/SUM and every row has
-   fit; a row whose SUM argument is not an [Int] (mis-typed data;
-   [Value.add] would promote the sum to Float) upgrades just that group to
-   generic states rebuilt from its accumulators, so results are identical
-   either way.  Each group records the rank of its first row; output is in
-   rank order, i.e. first-seen order of the input stream. *)
+   One group table serves the hash group; the sort group folds its one open
+   group with the same cells.  A table is keyed by the single key value
+   ([VH]: no per-row key tuple) or by the key tuple ([TH]).  A group's cell
+   is a plain [int array] while every aggregate is an int COUNT/SUM and
+   every row has fit; a row whose SUM argument is not an [Int] (mis-typed
+   data; [Value.add] would promote the sum to Float) upgrades just that
+   group to generic states rebuilt from its accumulators, so results are
+   identical either way.  Output is in first-seen order of the input
+   stream. *)
 
 type cell =
   | Fresh  (* no row folded in yet *)
   | Ints of int array
   | States of Aggregate.state array
 
-type group = { mutable key : Tuple.t; mutable cell : cell; mutable rank : int }
+type group = { key : Tuple.t; mutable cell : cell }
 
 (* How rows fold into a cell: the aggregates, their argument extractors,
    and the unboxed kernels when every aggregate qualifies. *)
@@ -206,9 +205,7 @@ type index = One of int * group VH.t | Many of int array * group TH.t
 type gtable = {
   folder : folder;
   index : index;
-  mutable next_rank : int;  (* rank of the next row added *)
   mutable order : group list;  (* newest first *)
-  mutable ranked : bool;  (* [order] is by rank; a merge clears it *)
 }
 
 let gtable folder key_idx =
@@ -217,17 +214,14 @@ let gtable folder key_idx =
     | [| ki |] -> One (ki, VH.create 256)
     | _ -> Many (key_idx, TH.create 256)
   in
-  { folder; index; next_rank = 0; order = []; ranked = true }
-
-let insert t g =
-  (match t.index with
-   | One (_, h) -> VH.add h g.key.(0) g
-   | Many (_, h) -> TH.add h g.key g);
-  t.order <- g :: t.order
+  { folder; index; order = [] }
 
 let fresh t key =
-  let g = { key; cell = Fresh; rank = t.next_rank } in
-  insert t g;
+  let g = { key; cell = Fresh } in
+  (match t.index with
+   | One (_, h) -> VH.add h key.(0) g
+   | Many (_, h) -> TH.add h key g);
+  t.order <- g :: t.order;
   g
 
 let add t tup =
@@ -240,44 +234,9 @@ let add t tup =
       let k = Tuple.project_arr tup kidx in
       match TH.find_opt h k with Some g -> g | None -> fresh t k)
   in
-  step t.folder g tup;
-  t.next_rank <- t.next_rank + 1
+  step t.folder g tup
 
-let add_batch t b = Batch.iter (add t) b
-
-(* Fold [src]'s groups into [t].  A key in both combines its partials
-   earlier rank first, like the serial fold: elementwise addition while
-   both are unboxed, [Aggregate.merge] (the partial algebra the matview
-   extents use) otherwise.  The merged group keeps the earlier group's key
-   value, which matters when equal keys differ in type (Int 1, Float 1.). *)
-let merge t src =
-  List.iter
-    (fun g ->
-      let found =
-        match t.index with
-        | One (_, h) -> VH.find_opt h g.key.(0)
-        | Many (_, h) -> TH.find_opt h g.key
-      in
-      match found with
-      | None -> insert t g
-      | Some g0 ->
-        let a, b = if g0.rank <= g.rank then (g0, g) else (g, g0) in
-        g0.cell <-
-          (match a.cell, b.cell with
-           | Ints x, Ints y -> Ints (Array.map2 ( + ) x y)
-           | ca, cb ->
-             States (Array.map2 Aggregate.merge (states t.folder ca) (states t.folder cb)));
-        g0.key <- a.key;
-        g0.rank <- a.rank)
-    src.order;
-  t.ranked <- false
-
-let emit t =
-  let order =
-    if t.ranked then t.order
-    else List.sort (fun a b -> Int.compare b.rank a.rank) t.order
-  in
-  Array.of_list (List.rev_map (finish_row t.folder) order)
+let emit t = Array.of_list (List.rev_map (finish_row t.folder) t.order)
 
 (* ---- batch plumbing ---- *)
 
@@ -305,32 +264,22 @@ let batch_of_rev schema n rev =
   List.iteri (fun i t -> arr.(n - 1 - i) <- t) rev;
   Batch.of_rows schema arr
 
-(* Serial and parallel scans agree on morsel boundaries: morsel [m] covers
-   pages [m*ppb, (m+1)*ppb), one batch's worth, and [scan_batches] walks
-   exactly these ranges.  Returns [(ppb, n_morsels)]. *)
-let morsel_geometry heap =
-  let ppb = max 1 (Batch.default_rows / Heap_file.page_capacity heap) in
-  (ppb, (Heap_file.npages heap + ppb - 1) / ppb)
-
-(* Morsel [m] straight off heap pages: one buffer-pool touch per page,
-   zero-copy — the batch is a view of the heap's backing row array (see the
-   ownership rule in batch.mli). *)
-let morsel_batch schema heap ~ppb m =
-  let rows, lo, len = Heap_file.scan_segment heap ~page:(m * ppb) ~npages:ppb in
-  Batch.of_segment schema rows ~lo ~len
-
+(* A heap scan, one batch's worth of pages per batch: one buffer-pool touch
+   per page, zero-copy — each batch is a view of the heap's backing row
+   array (see the ownership rule in batch.mli). *)
 let scan_batches schema heap : Biter.t =
-  let ppb, n_morsels = morsel_geometry heap in
+  let ppb = max 1 (Batch.default_rows / Heap_file.page_capacity heap) in
+  let npages = Heap_file.npages heap in
   let next = ref 0 in
   let next_batch () =
-    if !next >= n_morsels then None
+    if !next >= npages then None
     else begin
-      let m = !next in
-      next := m + 1;
-      Some (morsel_batch schema heap ~ppb m)
+      let rows, lo, len = Heap_file.scan_segment heap ~page:!next ~npages:ppb in
+      next := !next + ppb;
+      Some (Batch.of_segment schema rows ~lo ~len)
     end
   in
-  { Biter.schema; next_batch; close = (fun () -> next := n_morsels) }
+  { Biter.schema; next_batch; close = (fun () -> next := npages) }
 
 (* A row cursor over a batch stream: [next] hands out one row at a time and
    pulls the next batch only when the current one is used up, so an
@@ -427,9 +376,8 @@ type build = {
   keep : Tuple.t -> bool;  (* residual conjuncts *)
 }
 
-(* The build step shared by the serial join and the morsel probe: drain
-   the build side and size it, then resolve keys, output pairing and
-   schema for [build_side]. *)
+(* The build step: drain the build side and size it, then resolve keys,
+   output pairing and schema for [build_side]. *)
 let hash_build ctx ~keys ~cond ~build_side (bit : Biter.t) ~probe_schema =
   let rows = Biter.to_list bit in
   let bschema = bit.Biter.schema in
@@ -571,106 +519,20 @@ let io_biter ctx (node : Profile.node) (bit : Biter.t) =
   in
   { bit with Biter.next_batch }
 
-(* ---- exchange segments ----
-
-   A parallel segment is the scan spine the morsel workers evaluate
-   independently: heap scan -> filters -> projections -> hash-join probes.
-   Its [seg_pipe] stacks the serial operators on a scan stream and is
-   applied to one morsel's batch at a time.  Hash tables are built before
-   any worker starts and are shared read-only; the rest of a pipe's state
-   lives in the per-morsel operators it creates.  A spine that cannot run
-   per morsel (a hash-join build that spills, or a plan that is no
-   segment) is one serial stream instead. *)
-
-type segment = {
-  seg_heap : Heap_file.t;
-  seg_scan_schema : Schema.t;
-  seg_schema : Schema.t;  (* output schema of the pipe *)
-  seg_pipe : Biter.t -> Biter.t;  (* scan batches -> segment output *)
-}
-
-type spine = Morsels of segment | Serial of Biter.t
-
-let spine_schema = function
-  | Morsels s -> s.seg_schema
-  | Serial bit -> bit.Biter.schema
-
-(* Put operator [f], whose output schema is [schema], on top of the
-   spine. *)
-let extend spine schema f =
-  match spine with
-  | Morsels s ->
-    Morsels { s with seg_schema = schema; seg_pipe = (fun bit -> f (s.seg_pipe bit)) }
-  | Serial bit -> Serial (f bit)
-
-(* The spine as one stream on the calling domain: a segment's pipe over the
-   serial scan, which walks the same morsels in order. *)
-let serial = function
-  | Serial bit -> bit
-  | Morsels s -> s.seg_pipe (scan_batches s.seg_scan_schema s.seg_heap)
-
-(* Morsel [m] through the segment's pipe. *)
-let morsel_biter s m =
-  let ppb, _ = morsel_geometry s.seg_heap in
-  s.seg_pipe
-    (Biter.of_batches s.seg_scan_schema
-       [ morsel_batch s.seg_scan_schema s.seg_heap ~ppb m ])
-
-let project schema cols =
-  let fns = Array.of_list (List.map (fun (e, _) -> Expr.compile schema e) cols) in
+let project cols (bit : Biter.t) : Biter.t =
+  let fns = Array.of_list (List.map (fun (e, _) -> Expr.compile bit.Biter.schema e) cols) in
   let out_schema = Schema.of_columns (List.map snd cols) in
   let row tup = Array.map (fun f -> f tup) fns in
-  ( out_schema,
-    fun (bit : Biter.t) ->
-      let next_batch () =
-        Option.map (Batch.map out_schema row) (bit.Biter.next_batch ())
-      in
-      { Biter.schema = out_schema; next_batch; close = bit.Biter.close } )
+  let next_batch () = Option.map (Batch.map out_schema row) (bit.Biter.next_batch ()) in
+  { Biter.schema = out_schema; next_batch; close = bit.Biter.close }
 
-(* The hash join of the serial plan and of a segment: drain the build side
-   once; if it fits in work_mem, the probe spine meets one table (each
-   morsel on its own, or the serial stream); otherwise the grace join takes
-   the drained build and the probe spine as one serial stream. *)
-let hash_join ctx ~keys ~cond ~build_side build probe =
-  let b =
-    hash_build ctx ~keys ~cond ~build_side build ~probe_schema:(spine_schema probe)
-  in
-  if b.in_memory then
-    extend probe b.out_schema (memory_join b (build_hash_table b.build_keys b.rows))
-  else Serial (grace_join ctx b (guard_biter ctx (serial probe)))
-
-(* Pre-register [worker-<i>] profile nodes under the node currently being
-   opened (the exchange), returning the callback that fills them with the
-   team's counters once the workers join. *)
-let worker_profile_nodes ctx ~dop =
-  match Exec_ctx.profiler ctx with
-  | None -> None
-  | Some prof ->
-    let dop = Exchange.clamp_dop dop in
-    let nodes =
-      Array.init dop (fun i ->
-          let n = Profile.enter prof (Printf.sprintf "worker-%d" i) in
-          Profile.leave prof;
-          n)
-    in
-    Some
-      (fun (stats : Exchange.wstats array) ->
-        Array.iteri
-          (fun i (ws : Exchange.wstats) ->
-            if i < Array.length nodes then begin
-              let n = nodes.(i) in
-              n.Profile.rows_out <- ws.Exchange.wrows;
-              n.Profile.batches <- ws.Exchange.wbatches;
-              n.Profile.ms <- ws.Exchange.wms;
-              n.Profile.reads <- ws.Exchange.wio.Buffer_pool.reads;
-              n.Profile.writes <- ws.Exchange.wio.Buffer_pool.writes;
-              n.Profile.hits <- ws.Exchange.wio.Buffer_pool.hits
-            end)
-          stats)
-
-let group_output ctx (g : Physical.group) t =
-  let out_schema = Physical.schema (Exec_ctx.catalog ctx) (Physical.Hash_group g) in
-  with_having out_schema g (Biter.of_rows out_schema (emit t))
+(* Hash join: drain the build side once; if it fits in work_mem, the probe
+   stream meets one table; otherwise the grace join takes the drained build
+   and the probe stream. *)
+let hash_join ctx ~keys ~cond ~build_side build (probe : Biter.t) : Biter.t =
+  let b = hash_build ctx ~keys ~cond ~build_side build ~probe_schema:probe.Biter.schema in
+  if b.in_memory then memory_join b (build_hash_table b.build_keys b.rows) probe
+  else grace_join ctx b probe
 
 let rec open_batch ctx plan : Biter.t =
   let bit =
@@ -687,7 +549,12 @@ let rec open_batch ctx plan : Biter.t =
 and open_batch_raw ctx plan : Biter.t =
   let cat = Exec_ctx.catalog ctx in
   match plan with
-  | Physical.Seq_scan _ -> serial (compile_segment ctx plan)
+  | Physical.Seq_scan s ->
+    let tbl = Catalog.table_exn cat s.table in
+    let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
+    let bit = scan_batches schema tbl.Catalog.heap in
+    if s.filter = [] then bit
+    else batch_filter (compile_batch_preds schema s.filter) bit
   | Physical.Index_scan s ->
     let tbl = Catalog.table_exn cat s.table in
     let idx = index_exn tbl s.column in
@@ -720,8 +587,7 @@ and open_batch_raw ctx plan : Biter.t =
     let bit = open_batch ctx f.input in
     batch_filter (compile_batch_preds bit.Biter.schema f.pred) bit
   | Physical.Project p ->
-    let bit = open_batch ctx p.input in
-    snd (project bit.Biter.schema p.cols) bit
+    project p.cols (open_batch ctx p.input)
   | Physical.Materialize m ->
     let bit = open_batch ctx m.input in
     let heap = Exec_ctx.temp ctx bit.Biter.schema in
@@ -772,19 +638,8 @@ and open_batch_raw ctx plan : Biter.t =
     let build, probe =
       match j.build_side with `Right -> (rbit, lbit) | `Left -> (lbit, rbit)
     in
-    serial
-      (hash_join ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side build
-         (Serial probe))
-  | Physical.Hash_group g -> (
-    (* Parallel partial aggregation: when the group sits on an exchange,
-       fuse scan + partials into the workers and merge here.  Otherwise the
-       exchange still parallelizes the scan and this group consumes the
-       resequenced stream serially. *)
-    match g.Physical.input with
-    | Physical.Exchange e when Exchange.parallel_group_ok g.Physical.aggs ->
-      open_parallel_group ctx g ~dop:e.dop e.input
-    | _ -> batch_hash_group ctx g)
-  | Physical.Exchange e -> open_exchange ctx ~dop:e.dop e.input
+    hash_join ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side build probe
+  | Physical.Hash_group g -> batch_hash_group ctx g
   | Physical.Block_nl_join j -> batch_bnl_join ctx j.left j.right j.cond
   | Physical.Index_nl_join j ->
     batch_index_nl_join ctx ~left:j.left ~alias:j.alias ~table:j.table
@@ -1006,7 +861,7 @@ and batch_sort_group ctx (g : Physical.group) : Biter.t =
                     out := finish_row f cur :: !out;
                     incr n)
                   prev;
-                let cur = { key = k; cell = Fresh; rank = 0 } in
+                let cur = { key = k; cell = Fresh } in
                 current := Some cur;
                 cur
             in
@@ -1023,148 +878,9 @@ and batch_hash_group ctx (g : Physical.group) : Biter.t =
   let t =
     gtable (folder in_schema g.Physical.aggs) (resolve_all in_schema g.Physical.keys)
   in
-  Biter.iter (add_batch t) bit;
-  group_output ctx g t
-
-(* ==== morsel-driven parallel path (Physical.Exchange) ==== *)
-
-(* The spine of [plan]; a plan that is no segment is opened serially. *)
-and compile_segment ctx plan : spine =
-  match plan with
-  | Physical.Seq_scan s ->
-    let tbl = Catalog.table_exn (Exec_ctx.catalog ctx) s.table in
-    let schema = Schema.rename_qualifier tbl.Catalog.tschema s.alias in
-    let pipe =
-      if s.filter = [] then Fun.id
-      else batch_filter (compile_batch_preds schema s.filter)
-    in
-    Morsels
-      { seg_heap = tbl.Catalog.heap; seg_scan_schema = schema;
-        seg_schema = schema; seg_pipe = pipe }
-  | Physical.Filter f ->
-    let spine = compile_segment ctx f.input in
-    let schema = spine_schema spine in
-    extend spine schema (batch_filter (compile_batch_preds schema f.pred))
-  | Physical.Project p ->
-    let spine = compile_segment ctx p.input in
-    let schema, f = project (spine_schema spine) p.cols in
-    extend spine schema f
-  | Physical.Hash_join j ->
-    let build_plan, probe_plan =
-      match j.build_side with
-      | `Right -> (j.right, j.left)
-      | `Left -> (j.left, j.right)
-    in
-    let probe = compile_segment ctx probe_plan in
-    (* The build side may be any plan: it is opened and drained once, on
-       the consuming domain, before any worker starts. *)
-    hash_join ctx ~keys:j.keys ~cond:j.cond ~build_side:j.build_side
-      (open_batch ctx build_plan) probe
-  | plan -> Serial (open_batch ctx plan)
-
-(* Exchange as a streaming operator: workers run the segment morsel-wise,
-   the consumer resequences.  A serial spine makes the exchange a
-   pass-through, keeping results correct for any plan shape the rewrite or
-   the plan cache may hand us. *)
-and open_exchange ctx ~dop input : Biter.t =
-  match compile_segment ctx input with
-  | Serial bit -> bit
-  | Morsels s ->
-    let on_done = worker_profile_nodes ctx ~dop in
-    (* A join's batches share an output array that its next batch reuses
-       (the ownership rule in batch.mli), so each queued batch is a copy. *)
-    let morsel ~wid:_ _wctx m =
-      let out = ref [] in
-      Biter.iter
-        (fun b -> out := Batch.of_rows s.seg_schema (Batch.to_rows b) :: !out)
-        (morsel_biter s m);
-      List.rev !out
-    in
-    Exchange.gather ~ctx ~dop ~schema:s.seg_schema
-      ~n_morsels:(snd (morsel_geometry s.seg_heap)) ~morsel ?on_done ()
-
-(* Hash group over an exchange: each worker folds its morsels into a
-   private group table, and the consumer merges the tables.  A row's rank
-   is its (morsel, position) — its place in the serial stream — so the
-   merged table emits groups in the serial operator's order and the output
-   is byte-identical to it.  A serial spine is folded into one table. *)
-and open_parallel_group ctx (g : Physical.group) ~dop input : Biter.t =
-  (* The exchange is fused into this operator, but observability should
-     still show it: mirror it as a profile node holding the nodes of the
-     build sides and one node per worker. *)
-  let prof = Exec_ctx.profiler ctx in
-  let xn =
-    Option.map
-      (fun p -> Profile.enter p (Physical.op_name (Physical.Exchange { input; dop })))
-      prof
-  in
-  let spine, fill =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Profile.leave prof)
-      (fun () ->
-        let spine = compile_segment ctx input in
-        ( spine,
-          match spine with
-          | Morsels _ -> worker_profile_nodes ctx ~dop
-          | Serial _ -> None ))
-  in
-  let in_schema = spine_schema spine in
-  let f = folder in_schema g.Physical.aggs in
-  let key_idx = resolve_all in_schema g.Physical.keys in
-  let table () = gtable f key_idx in
-  let t =
-    match spine with
-    | Serial bit ->
-      let bit =
-        match xn with
-        | Some n -> io_biter ctx n (Profile.wrap_biter n bit)
-        | None -> bit
-      in
-      let bit = guard_biter ctx bit in
-      let t = table () in
-      Biter.iter (add_batch t) bit;
-      t
-    | Morsels s ->
-      let on_done =
-        Option.map
-          (fun xn stats ->
-            Option.iter (fun fill -> fill stats) fill;
-            Array.iter
-              (fun (ws : Exchange.wstats) ->
-                let io = ws.Exchange.wio in
-                xn.Profile.rows_out <- xn.Profile.rows_out + ws.Exchange.wrows;
-                xn.Profile.batches <- xn.Profile.batches + ws.Exchange.wbatches;
-                xn.Profile.ms <- Float.max xn.Profile.ms ws.Exchange.wms;
-                xn.Profile.reads <- xn.Profile.reads + io.Buffer_pool.reads;
-                xn.Profile.writes <- xn.Profile.writes + io.Buffer_pool.writes;
-                xn.Profile.hits <- xn.Profile.hits + io.Buffer_pool.hits)
-              stats)
-          xn
-      in
-      let worker ~wid:_ ~stats:(ws : Exchange.wstats) _wctx ~claim =
-        let t = table () in
-        let rec loop () =
-          match claim () with
-          | None -> t
-          | Some m ->
-            (* Rank = (morsel, position in it), packed into one int. *)
-            t.next_rank <- m lsl 32;
-            Biter.iter
-              (fun b ->
-                add_batch t b;
-                ws.Exchange.wrows <- ws.Exchange.wrows + Batch.live b;
-                ws.Exchange.wbatches <- ws.Exchange.wbatches + 1)
-              (morsel_biter s m);
-            loop ()
-        in
-        loop ()
-      in
-      let n_morsels = snd (morsel_geometry s.seg_heap) in
-      let tables, _ = Exchange.fold ~ctx ~dop ~n_morsels ~worker ?on_done () in
-      Array.iteri (fun i t -> if i > 0 then merge tables.(0) t) tables;
-      tables.(0)
-  in
-  group_output ctx g t
+  Biter.iter (Batch.iter (add t)) bit;
+  let out_schema = Physical.schema (Exec_ctx.catalog ctx) (Physical.Hash_group g) in
+  with_having out_schema g (Biter.of_rows out_schema (emit t))
 
 let run ctx plan =
   (* Temps must be released even when an operator raises mid-pipeline

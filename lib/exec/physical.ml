@@ -39,7 +39,6 @@ type t =
   | Project of { input : t; cols : (Expr.t * Schema.column) list }
   | Materialize of { input : t }
   | Limit of { input : t; count : int }
-  | Exchange of { input : t; dop : int }
 
 and group = {
   input : t;
@@ -82,7 +81,6 @@ let rec schema cat = function
   | Project p -> Schema.of_columns (List.map snd p.cols)
   | Materialize m -> schema cat m.input
   | Limit l -> schema cat l.input
-  | Exchange e -> schema cat e.input
 
 let key_name (c : Schema.column) = (c.Schema.cqual, c.Schema.cname)
 
@@ -113,9 +111,6 @@ let rec sorted_on = function
       | _ -> []
     in
     prefix (sorted_on p.input)
-  (* The exchange consumer resequences morsels into producer order, so any
-     order the input had is preserved. *)
-  | Exchange e -> sorted_on e.input
   | Seq_scan _ | Block_nl_join _ | Index_nl_join _ | Hash_join _ | Hash_group _ -> []
 
 let rec relations = function
@@ -131,7 +126,6 @@ let rec relations = function
   | Project p -> relations p.input
   | Materialize m -> relations m.input
   | Limit l -> relations l.input
-  | Exchange e -> relations e.input
 
 (* Materialized-view extents are backed by hidden [__mv_<name>] heap
    tables; display them as [mv:<name>] so EXPLAIN (and the op names that
@@ -228,9 +222,6 @@ let rec pp_node ppf (indent, t) =
     Format.fprintf ppf "%sMaterialize@\n%a" pad pp_node (child m.input)
   | Limit l ->
     Format.fprintf ppf "%sLimit %d@\n%a" pad l.count pp_node (child l.input)
-  | Exchange e ->
-    Format.fprintf ppf "%sExchange dop=%d@\n%a" pad e.dop pp_node
-      (child e.input)
 
 let pp ppf t = pp_node ppf (0, t)
 let to_string t = Format.asprintf "%a" pp t
@@ -252,7 +243,6 @@ let op_name = function
   | Merge_join _ -> "MergeJoin"
   | Hash_group _ -> "HashGroup"
   | Sort_group _ -> "SortGroup"
-  | Exchange e -> Printf.sprintf "Exchange(dop=%d)" e.dop
 
 let inputs = function
   | Seq_scan _ | Index_scan _ -> []
@@ -266,4 +256,3 @@ let inputs = function
   | Hash_join j -> [ j.left; j.right ]
   | Merge_join j -> [ j.left; j.right ]
   | Hash_group g | Sort_group g -> [ g.input ]
-  | Exchange e -> [ e.input ]

@@ -56,10 +56,6 @@ type t =
       (** spool the input to a temp file, then stream it (rescannable) *)
   | Limit of { input : t; count : int }
       (** emit at most [count] rows, then stop pulling *)
-  | Exchange of { input : t; dop : int }
-      (** evaluate [input] morsel-wise on [dop] worker domains and gather
-          the output batches, resequenced into producer order so results
-          are byte-identical to a serial run *)
 
 and group = {
   input : t;

@@ -115,10 +115,7 @@ let rec walk cat plan : Schema.t =
         let keys = List.map key_name g.keys in
         if not (is_prefix keys (Physical.sorted_on g.input)) then
           fail "sort-group input not sorted on the grouping keys"
-      | _ -> ())
-   | Physical.Exchange e ->
-     if e.dop < 1 then fail "exchange dop must be >= 1";
-     ignore (walk cat e.input));
+      | _ -> ()));
   schema
 
 let check cat plan =

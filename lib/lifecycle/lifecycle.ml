@@ -85,16 +85,15 @@ let exit_code () =
 let hooks_lock = Mutex.create ()
 let hooks : (unit -> unit) list ref = ref []
 
-let at_shutdown f =
-  Mutex.lock hooks_lock;
-  hooks := f :: !hooks;
-  Mutex.unlock hooks_lock
+let at_shutdown f = Mutex.protect hooks_lock (fun () -> hooks := f :: !hooks)
 
 let run_hooks () =
-  Mutex.lock hooks_lock;
-  let hs = !hooks in
-  hooks := [];
-  Mutex.unlock hooks_lock;
+  let hs =
+    Mutex.protect hooks_lock (fun () ->
+        let hs = !hooks in
+        hooks := [];
+        hs)
+  in
   List.iter
     (fun f ->
       try f () with e ->
@@ -105,7 +104,5 @@ let run_hooks () =
 let reset () =
   Atomic.set state 0;
   Atomic.set got_signal 0;
-  Mutex.lock hooks_lock;
-  hooks := [];
-  Mutex.unlock hooks_lock;
+  Mutex.protect hooks_lock (fun () -> hooks := []);
   drain_wake ()

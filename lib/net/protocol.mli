@@ -10,9 +10,9 @@ type request =
       (** any session statement: SELECT, INSERT / matview DDL,
           [EXPLAIN ANALYZE], [\metrics], [\dm] *)
   | Set of string * string
-      (** session variable: [timeout_ms], [spill_quota], [dop],
-          [work_mem]; value ["default"] (or ["0"] for the first two)
-          resets to the server default *)
+      (** session variable: [timeout_ms], [spill_quota], [work_mem]; value
+          ["default"] (or ["0"] for the first two) resets to the server
+          default *)
   | Prepare of string * string  (** name, SQL template *)
   | Exec_prepared of string * Value.t list  (** name, parameter vector *)
   | Close

@@ -190,7 +190,6 @@ let set_limit limits name value =
   match String.lowercase_ascii name with
   | "timeout_ms" -> { limits with Service.sl_timeout_ms = fopt () }
   | "spill_quota" -> { limits with Service.sl_spill_quota = iopt ~zero_clears:true () }
-  | "dop" -> { limits with Service.sl_dop = iopt ~zero_clears:false () }
   | "work_mem" -> { limits with Service.sl_work_mem = iopt ~zero_clears:false () }
   | _ -> Avq_error.error (Avq_error.Bad_statement ("unknown session variable: " ^ name))
 
@@ -405,7 +404,6 @@ let start ?(config = default_config) pool =
         (fun sess ->
           let l = sess.limits in
           { Sysview.ss_sid = sess.id;
-            ss_dop = Option.value ~default:(-1) l.Service.sl_dop;
             ss_work_mem = Option.value ~default:(-1) l.Service.sl_work_mem;
             ss_timeout_ms =
               Option.value ~default:(-1.) l.Service.sl_timeout_ms;

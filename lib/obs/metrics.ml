@@ -90,16 +90,6 @@ type t = { lock : Mutex.t; mutable metrics : metric list }
 
 let create () = { lock = Mutex.create (); metrics = [] }
 
-let protect t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 let valid_name name =
   name <> ""
   && String.for_all
@@ -114,7 +104,7 @@ let register t ?(help = "") ?(labels = []) name instrument =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Metrics.register: bad metric name %S" name);
   let m = { name; help; labels; instrument } in
-  protect t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.metrics <-
         m
         :: List.filter
@@ -143,7 +133,7 @@ let kind_label = function
 
 (* Stable export order: by name, then by labels. *)
 let sorted_metrics t =
-  let ms = protect t (fun () -> t.metrics) in
+  let ms = Mutex.protect t.lock (fun () -> t.metrics) in
   List.sort
     (fun a b ->
       match compare a.name b.name with 0 -> compare a.labels b.labels | c -> c)

@@ -34,7 +34,6 @@ type entry = {
   mutable e_rebinds : int;
   mutable e_mv_hits : int;
   mutable e_wal_bytes : int;
-  mutable e_max_dop : int;
   mutable e_last_used : int;
 }
 
@@ -64,16 +63,6 @@ let create ?(max_entries = 2048) () =
     recorded = Atomic.make 0;
   }
 
-let protect mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-    Mutex.unlock mu;
-    v
-  | exception e ->
-    Mutex.unlock mu;
-    raise e
-
 let shard_of t fp = t.shards.(Hashtbl.hash fp land (nshards - 1))
 
 let max_query_len = 256
@@ -99,7 +88,6 @@ let fresh_entry fp query tick =
     e_rebinds = 0;
     e_mv_hits = 0;
     e_wal_bytes = 0;
-    e_max_dop = 0;
     e_last_used = tick;
   }
 
@@ -124,11 +112,11 @@ let bucket_slot ms =
 
 let record t ~fp ~query ?error ?(rows = 0) ?(pages = 0) ?(spill_bytes = 0)
     ?(cache_hit = false) ?(rebind = false) ?(mv_hit = false) ?(wal_bytes = 0)
-    ?(dop = 1) ~ms () =
+    ~ms () =
   Atomic.incr t.recorded;
   let tick = Atomic.fetch_and_add t.clock 1 in
   let sh = shard_of t fp in
-  protect sh.mu (fun () ->
+  Mutex.protect sh.mu (fun () ->
       let e =
         match Hashtbl.find_opt sh.tbl fp with
         | Some e -> e
@@ -157,8 +145,7 @@ let record t ~fp ~query ?error ?(rows = 0) ?(pages = 0) ?(spill_bytes = 0)
       if cache_hit then e.e_cache_hits <- e.e_cache_hits + 1;
       if rebind then e.e_rebinds <- e.e_rebinds + 1;
       if mv_hit then e.e_mv_hits <- e.e_mv_hits + 1;
-      e.e_wal_bytes <- e.e_wal_bytes + wal_bytes;
-      if dop > e.e_max_dop then e.e_max_dop <- dop)
+      e.e_wal_bytes <- e.e_wal_bytes + wal_bytes)
 
 (* ---- snapshots ---- *)
 
@@ -182,7 +169,6 @@ type stat = {
   rebinds : int;
   mv_hits : int;
   wal_bytes : int;
-  max_dop : int;
 }
 
 (* Smallest bucket upper bound whose cumulative count reaches rank;
@@ -226,7 +212,6 @@ let stat_of_entry e =
     rebinds = e.e_rebinds;
     mv_hits = e.e_mv_hits;
     wal_bytes = e.e_wal_bytes;
-    max_dop = e.e_max_dop;
   }
 
 (* Consistent-per-entry snapshot: each shard is locked while its entries are
@@ -236,7 +221,7 @@ let snapshot t =
   let acc = ref [] in
   Array.iter
     (fun sh ->
-      protect sh.mu (fun () ->
+      Mutex.protect sh.mu (fun () ->
           Hashtbl.iter (fun _ e -> acc := stat_of_entry e :: !acc) sh.tbl))
     t.shards;
   List.sort (fun a b -> compare b.total_ms a.total_ms) !acc
@@ -250,11 +235,11 @@ let top ?(n = 10) t =
   take n all
 
 let reset t =
-  Array.iter (fun sh -> protect sh.mu (fun () -> Hashtbl.reset sh.tbl)) t.shards
+  Array.iter (fun sh -> Mutex.protect sh.mu (fun () -> Hashtbl.reset sh.tbl)) t.shards
 
 let tracked t =
   Array.fold_left
-    (fun acc sh -> acc + protect sh.mu (fun () -> Hashtbl.length sh.tbl))
+    (fun acc sh -> acc + Mutex.protect sh.mu (fun () -> Hashtbl.length sh.tbl))
     0 t.shards
 
 let evictions t = Atomic.get t.evicted
@@ -264,7 +249,7 @@ let total_calls t =
   Array.fold_left
     (fun acc sh ->
       acc
-      + protect sh.mu (fun () ->
+      + Mutex.protect sh.mu (fun () ->
             Hashtbl.fold (fun _ e n -> n + e.e_calls) sh.tbl 0))
     0 t.shards
 
@@ -298,12 +283,11 @@ let to_json_top ?(n = 10) t =
             %s, \"max_ms\": %s, \"p50_ms\": %s, \"p95_ms\": %s, \"p99_ms\": \
             %s, \"rows\": %d, \"pages\": %d, \"spill_bytes\": %d, \
             \"cache_hits\": %d, \"rebinds\": %d, \"mv_hits\": %d, \
-            \"wal_bytes\": %d, \"max_dop\": %d }"
+            \"wal_bytes\": %d }"
            (escape_json s.fingerprint) (escape_json s.query) s.calls s.errors
            (fnum s.total_ms) (fnum s.mean_ms) (fnum s.min_ms) (fnum s.max_ms)
            (fnum s.p50_ms) (fnum s.p95_ms) (fnum s.p99_ms) s.rows s.pages
-           s.spill_bytes s.cache_hits s.rebinds s.mv_hits s.wal_bytes
-           s.max_dop))
+           s.spill_bytes s.cache_hits s.rebinds s.mv_hits s.wal_bytes))
     (top ~n t);
   Buffer.add_string buf
     (Printf.sprintf "\n  ],\n  \"tracked\": %d,\n  \"evictions\": %d\n}\n"

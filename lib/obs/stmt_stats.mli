@@ -26,7 +26,6 @@ val record :
   ?rebind:bool ->
   ?mv_hit:bool ->
   ?wal_bytes:int ->
-  ?dop:int ->
   ms:float ->
   unit ->
   unit
@@ -54,7 +53,6 @@ type stat = {
   rebinds : int;
   mv_hits : int;
   wal_bytes : int;
-  max_dop : int;
 }
 
 val snapshot : t -> stat list

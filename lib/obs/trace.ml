@@ -44,12 +44,11 @@ let create_file ?slow_ms path =
 let close t =
   match t.out with
   | Some oc ->
-    Mutex.lock t.lock;
-    (try
-       flush oc;
-       if t.owns_out then close_out oc
-     with _ -> ());
-    Mutex.unlock t.lock
+    Mutex.protect t.lock (fun () ->
+        try
+          flush oc;
+          if t.owns_out then close_out oc
+        with _ -> ())
   | None -> ()
 
 let spans_emitted t = Atomic.get t.spans_emitted
@@ -103,9 +102,8 @@ let write_line t ~trace_id ~span_id ~parent ~name ~status ~t0 ~dur_ms attrs =
       Buffer.add_char buf '}'
     end;
     Buffer.add_string buf "}\n";
-    Mutex.lock t.lock;
-    (try output_string oc (Buffer.contents buf) with _ -> ());
-    Mutex.unlock t.lock
+    Mutex.protect t.lock (fun () ->
+        try output_string oc (Buffer.contents buf) with _ -> ())
 
 let start t ~trace_id ?parent name =
   {

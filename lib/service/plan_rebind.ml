@@ -63,7 +63,6 @@ let rebind pairs plan =
     | Physical.Project p -> Physical.Project { p with input = go p.input }
     | Physical.Materialize m -> Physical.Materialize { input = go m.input }
     | Physical.Limit l -> Physical.Limit { l with input = go l.input }
-    | Physical.Exchange e -> Physical.Exchange { e with input = go e.input }
   (* Aggregate arguments are template constants: only [having] is re-bound. *)
   and group g =
     { g with Physical.input = go g.Physical.input;

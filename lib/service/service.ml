@@ -8,7 +8,6 @@ type config = {
   cache_enabled : bool;
   statement_timeout_ms : float option;
   spill_quota_pages : int option;
-  dop : int;
 }
 
 let default_config =
@@ -22,7 +21,6 @@ let default_config =
     cache_enabled = true;
     statement_timeout_ms = None;
     spill_quota_pages = None;
-    dop = 1;
   }
 
 (* Atomic float accumulator for the wall-time totals: a CAS loop, since
@@ -334,28 +332,20 @@ let wal_commit_locked t lsn_opt =
 
 let catalog t = t.cat
 
-(* Core-aware default dop: divide the cores the runtime recommends among
-   the pool workers that will run statements concurrently, never below 1.
-   One worker gets every core for its morsel pipeline; N workers share. *)
-let auto_dop ~workers =
-  let cores = Domain.recommended_domain_count () in
-  max 1 (cores / max 1 workers)
-
 (* Per-session overrides of the service-wide statement knobs ([None] =
    inherit the config).  Carried per call so one shared service (and one
-   shared plan cache — dop and work_mem are part of the cache key) can
+   shared plan cache — work_mem is part of the cache key) can
    serve sessions with different SET values. *)
 type session_limits = {
   sl_timeout_ms : float option;
   sl_spill_quota : int option;
-  sl_dop : int option;
   sl_work_mem : int option;
   sl_sid : int option;  (* server session id, for slow-log / stats joins *)
 }
 
 let no_limits =
-  { sl_timeout_ms = None; sl_spill_quota = None; sl_dop = None;
-    sl_work_mem = None; sl_sid = None }
+  { sl_timeout_ms = None; sl_spill_quota = None; sl_work_mem = None;
+    sl_sid = None }
 let matviews t = t.mviews
 let metrics t = t.metrics
 let stats_store t = t.stats
@@ -445,19 +435,16 @@ let algo_tag = function
   | Optimizer.Greedy_conservative -> "greedy"
   | Optimizer.Paper -> "paper"
 
-let cache_key ?work_mem ?dop t stmt =
-  Printf.sprintf "%s/%s/%d/%d" (Fingerprint.to_hex stmt.fp)
-    (algo_tag t.cfg.algorithm)
-    (Option.value ~default:t.cfg.work_mem work_mem)
-    (Option.value ~default:t.cfg.dop dop)
+let cache_key ~work_mem t stmt =
+  Printf.sprintf "%s/%s/%d" (Fingerprint.to_hex stmt.fp)
+    (algo_tag t.cfg.algorithm) work_mem
 
-let options ?work_mem ?dop t =
+let options ?work_mem t =
   {
     Optimizer.default_options with
     algorithm = t.cfg.algorithm;
     work_mem = Option.value ~default:t.cfg.work_mem work_mem;
     paper = t.cfg.paper;
-    dop = Option.value ~default:t.cfg.dop dop;
   }
 
 let params_equal a b = List.for_all2 (fun x y -> Stdlib.compare x y = 0) a b
@@ -468,12 +455,12 @@ let entry_bytes ~key ~template ~plan ~params =
   String.length (Physical.to_string plan)
   + String.length template + String.length key + (24 * List.length params) + 128
 
-let optimize_and_cache ~work_mem ~dop t stmt ps query source =
+let optimize_and_cache ~work_mem t stmt ps query source =
   let r, decision =
-    Matview.optimize ~options:(options ~work_mem ~dop t) t.cat t.mviews query
+    Matview.optimize ~options:(options ~work_mem t) t.cat t.mviews query
   in
   fsum_add t.opt_ms_total r.Optimizer.time_ms;
-  let key = cache_key ~work_mem ~dop t stmt in
+  let key = cache_key ~work_mem t stmt in
   if t.cfg.cache_enabled then
     Plan_cache.add t.cache
       {
@@ -503,7 +490,6 @@ let served t (e : Plan_cache.entry) ~plan ~est source rewrite =
 let plan ?params ?(limits = no_limits) t stmt =
   let t0 = Unix.gettimeofday () in
   let work_mem = Option.value ~default:t.cfg.work_mem limits.sl_work_mem in
-  let dop = Option.value ~default:t.cfg.dop limits.sl_dop in
   let ps = Option.value ~default:stmt.base_params params in
   if List.length ps <> List.length stmt.base_params then
     invalid_arg "Service.plan: wrong number of parameters";
@@ -511,7 +497,7 @@ let plan ?params ?(limits = no_limits) t stmt =
   let query = if same_params then stmt.squery else Canon.substitute stmt.squery ps in
   let optimize counter source =
     Option.iter Atomic.incr counter;
-    optimize_and_cache ~work_mem ~dop t stmt ps query source
+    optimize_and_cache ~work_mem t stmt ps query source
   in
   let miss () = optimize (Some t.misses) Miss in
   Atomic.incr t.calls;
@@ -524,7 +510,7 @@ let plan ?params ?(limits = no_limits) t stmt =
         let epoch = Catalog.epoch t.cat in
         if not t.cfg.cache_enabled then optimize None Uncached
         else
-          match Plan_cache.find t.cache (cache_key ~work_mem ~dop t stmt) ~epoch with
+          match Plan_cache.find t.cache (cache_key ~work_mem t stmt) ~epoch with
           | None -> miss ()
           | Some entry
             when not (String.equal entry.Plan_cache.template stmt.template) ->
@@ -645,7 +631,6 @@ type input = Sql of string | Prepared of stmt * Value.t list option
 type record = {
   text : string;  (* trimmed statement text, until a template is known *)
   sid : int option;
-  dop : int;
   t0 : float;  (* prepare starts *)
   mutable stmt : stmt option;
   mutable started : float;  (* plan (query) or apply (write) starts; 0 = not reached *)
@@ -661,11 +646,10 @@ type record = {
   mutable t1 : float;  (* set by [finish] *)
 }
 
-let new_record ?(limits = no_limits) ~dop text =
+let new_record ?(limits = no_limits) text =
   {
     text;
     sid = limits.sl_sid;
-    dop;
     t0 = Unix.gettimeofday ();
     stmt = None;
     started = 0.;
@@ -788,7 +772,7 @@ let finish t r =
       (match r.planned with
        | Some p -> Matview.rewritten_view p.rewrite <> None
        | None -> false)
-    ~wal_bytes:r.wal_bytes ~dop:r.dop ~ms ();
+    ~wal_bytes:r.wal_bytes ~ms ();
   Option.iter (fun tr -> emit_trace t tr r ~fp ~query ~ms) t.tracer
 
 let run_stages t r stages =
@@ -821,7 +805,6 @@ let run_query ?cancel ?(profile = false) ?(limits = no_limits) ctx t input =
   in
   let r =
     new_record ~limits
-      ~dop:(Option.value ~default:t.cfg.dop limits.sl_dop)
       (match input with Sql sql -> String.trim sql | Prepared _ -> "")
   in
   let outcome =
@@ -1081,7 +1064,7 @@ let wal_appended t =
    (measured under the lock, so no other statement's traffic lands in
    it). *)
 let exec_statement t sql =
-  let r = new_record ~dop:1 (String.trim sql) in
+  let r = new_record (String.trim sql) in
   get
     (run_stages t r (fun () ->
          let apply = typed (fun () -> prepare_update t sql) in

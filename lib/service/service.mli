@@ -36,16 +36,12 @@ type config = {
   spill_quota_pages : int option;
       (** cumulative temp pages a statement may allocate before
           [Avq_error.Error (Resource_exceeded _)] *)
-  dop : int;
-      (** degree of intra-query parallelism handed to the optimizer; plans
-          cached at one dop are not served at another (the key includes
-          it) *)
 }
 
 val default_config : config
 (** [Paper] algorithm, 32 pages work_mem, 128 entries / 4 MiB cache,
-    recost ratio 10.0, cache on, no timeout or spill quota, serial
-    ([dop = 1]).  Statements always run on the batch executor. *)
+    recost ratio 10.0, cache on, no timeout or spill quota.  Statements
+    always run on the batch executor. *)
 
 type t
 
@@ -86,23 +82,17 @@ val checkpoint : t -> string
     [Checkpoint_end] → WAL truncation.  Returns a human-readable completion
     tag; reports "skipped" when no WAL is attached. *)
 
-val auto_dop : workers:int -> int
-(** Core-aware default degree of intra-query parallelism:
-    [Domain.recommended_domain_count ()] divided among [workers] concurrent
-    pool workers, never below 1.  Used when no explicit [--dop] is given. *)
-
 (** {1 Per-session limits}
 
     One shared service can serve sessions with different [SET] values:
     every field is an override of the corresponding config knob ([None] =
-    inherit).  [sl_dop] and [sl_work_mem] participate in planning and are
-    part of the plan-cache key, so sessions at different settings never
-    serve each other's plans. *)
+    inherit).  [sl_work_mem] participates in planning and is part of the
+    plan-cache key, so sessions at different settings never serve each
+    other's plans. *)
 
 type session_limits = {
   sl_timeout_ms : float option;
   sl_spill_quota : int option;
-  sl_dop : int option;
   sl_work_mem : int option;
   sl_sid : int option;
       (** server session/connection id — not a limit, but carried here so
@@ -174,7 +164,7 @@ type planned = {
 val plan : ?params:Value.t list -> ?limits:session_limits -> t -> stmt -> planned
 (** Produce an executable plan for the statement bound to [params]
     (default: the literals it was prepared with).  [limits] may override
-    the session's [dop] and [work_mem] for this call (cache-key aware).
+    the session's [work_mem] for this call (cache-key aware).
     @raise Invalid_argument if [params] has the wrong arity. *)
 
 val execute :

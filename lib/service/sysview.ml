@@ -37,8 +37,7 @@ let references_system_view sql =
 
 type session_row = {
   ss_sid : int;
-  ss_dop : int;  (* -1 = inherit the service config *)
-  ss_work_mem : int;  (* -1 = inherit *)
+  ss_work_mem : int;  (* -1 = inherit the service config *)
   ss_timeout_ms : float;  (* -1 = inherit *)
   ss_spill_quota : int;  (* -1 = inherit *)
   ss_prepared : int;
@@ -64,8 +63,7 @@ let statements_columns =
     ("p99_ms", Datatype.Float); ("rows", Datatype.Int);
     ("pages", Datatype.Int); ("spill_bytes", Datatype.Int);
     ("cache_hits", Datatype.Int); ("rebinds", Datatype.Int);
-    ("mv_hits", Datatype.Int); ("wal_bytes", Datatype.Int);
-    ("max_dop", Datatype.Int) ]
+    ("mv_hits", Datatype.Int); ("wal_bytes", Datatype.Int) ]
 
 let statements_rows stats =
   List.map
@@ -75,7 +73,7 @@ let statements_rows stats =
           f st.total_ms; f st.mean_ms; f st.min_ms; f st.max_ms;
           f st.p50_ms; f st.p95_ms; f st.p99_ms; i st.rows; i st.pages;
           i st.spill_bytes; i st.cache_hits; i st.rebinds; i st.mv_hits;
-          i st.wal_bytes; i st.max_dop ])
+          i st.wal_bytes ])
     (Stmt_stats.snapshot stats)
 
 let tables_columns =
@@ -119,8 +117,7 @@ let matviews_rows cat mviews =
     (Matview.views mviews)
 
 let sessions_columns =
-  [ ("sid", Datatype.Int); ("dop", Datatype.Int);
-    ("work_mem", Datatype.Int); ("timeout_ms", Datatype.Float);
+  [ ("sid", Datatype.Int); ("work_mem", Datatype.Int); ("timeout_ms", Datatype.Float);
     ("spill_quota", Datatype.Int); ("prepared", Datatype.Int) ]
 
 let sessions_rows () =
@@ -130,7 +127,7 @@ let sessions_rows () =
     List.map
       (fun r ->
         Tuple.make
-          [ i r.ss_sid; i r.ss_dop; i r.ss_work_mem; f r.ss_timeout_ms;
+          [ i r.ss_sid; i r.ss_work_mem; f r.ss_timeout_ms;
             i r.ss_spill_quota; i r.ss_prepared ])
       (List.sort (fun a b -> compare a.ss_sid b.ss_sid) (provider ()))
 

@@ -24,7 +24,6 @@ val references_system_view : string -> bool
     [-1] in an override field means "inherit the service config". *)
 type session_row = {
   ss_sid : int;
-  ss_dop : int;
   ss_work_mem : int;
   ss_timeout_ms : float;
   ss_spill_quota : int;

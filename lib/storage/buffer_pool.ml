@@ -40,17 +40,6 @@ type t = {
   fexhausted : int Atomic.t;
 }
 
-(* [Mutex.protect] exists only since OCaml 5.1; the package claims >= 5.0. *)
-let protect m f =
-  Mutex.lock m;
-  match f () with
-  | v ->
-    Mutex.unlock m;
-    v
-  | exception e ->
-    Mutex.unlock m;
-    raise e
-
 let create ~frames =
   if frames < 1 then invalid_arg "Buffer_pool.create: frames < 1";
   {
@@ -165,7 +154,7 @@ let touch t key ~dirty =
 
 let read t ~file ~page =
   maybe_fault t ~op:Fault.Read ~file ~page;
-  protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let key = (file, page) in
       if not (touch t key ~dirty:false) then begin
         count_read t;
@@ -174,7 +163,7 @@ let read t ~file ~page =
 
 let write t ~file ~page =
   maybe_fault t ~op:Fault.Write ~file ~page;
-  protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let key = (file, page) in
       if not (touch t key ~dirty:true) then begin
         count_read t;
@@ -183,7 +172,7 @@ let write t ~file ~page =
 
 let alloc t ~file ~page =
   maybe_fault t ~op:Fault.Alloc ~file ~page;
-  protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let key = (file, page) in
       if not (touch t key ~dirty:true) then insert t key ~dirty:true)
 
@@ -240,7 +229,7 @@ let read_retrying t ~file ~page =
   go 1
 
 let drop_file t ~file =
-  protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let doomed =
         Hashtbl.fold
           (fun (f, p) fr acc -> if f = file then (fr, p) :: acc else acc)
@@ -253,7 +242,7 @@ let drop_file t ~file =
         doomed)
 
 let flush_all t =
-  protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.iter
         (fun _ f ->
           if f.dirty then begin
@@ -263,7 +252,7 @@ let flush_all t =
         t.table)
 
 let clear t =
-  protect t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.reset t.table;
       t.head <- None;
       t.tail <- None)
@@ -285,17 +274,8 @@ let diff (a : stats) (b : stats) =
   { reads = a.reads - b.reads; writes = a.writes - b.writes;
     hits = a.hits - b.hits }
 
-(* Fold IO another domain already incurred into the calling domain's tally.
-   Only the DLS tally is bumped — the global atomics were counted when the
-   worker touched the pages, so adding them again would double-count. *)
-let add_local (s : stats) =
-  let c = Tally.get () in
-  c.Tally.treads <- c.Tally.treads + s.reads;
-  c.Tally.twrites <- c.Tally.twrites + s.writes;
-  c.Tally.thits <- c.Tally.thits + s.hits
-
 let resident t ~file ~page =
-  protect t.lock (fun () -> Hashtbl.mem t.table (file, page))
+  Mutex.protect t.lock (fun () -> Hashtbl.mem t.table (file, page))
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf "reads=%d writes=%d hits=%d" s.reads s.writes s.hits

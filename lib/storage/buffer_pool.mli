@@ -83,12 +83,6 @@ val local_stats : unit -> stats
 val diff : stats -> stats -> stats
 (** [diff now before] — componentwise subtraction. *)
 
-val add_local : stats -> unit
-(** Fold [s] into the calling domain's tally without touching the global
-    atomics (those were already bumped by whichever domain did the IO).
-    Used by the exchange operator to transfer morsel workers' IO to the
-    consuming domain so snapshot-and-subtract measurement sees it. *)
-
 val resident : t -> file:int -> page:int -> bool
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -43,7 +43,6 @@ let reset_io t = Buffer_pool.reset_stats t.pool
 
 let io_snapshot _t = Buffer_pool.local_stats ()
 let io_since _t before = Buffer_pool.diff (Buffer_pool.local_stats ()) before
-let io_add_local _t s = Buffer_pool.add_local s
 
 (* ---- table write path ---- *)
 

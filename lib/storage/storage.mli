@@ -46,11 +46,6 @@ val io_since : t -> Buffer_pool.stats -> Buffer_pool.stats
 (** [io_since t before] — IO this domain incurred since [before] was
     taken with {!io_snapshot}. *)
 
-val io_add_local : t -> Buffer_pool.stats -> unit
-(** Credit IO measured on another domain (a morsel worker) to the calling
-    domain's tally, so an enclosing {!io_snapshot}/{!io_since} window
-    includes it.  Global counters are untouched (already counted). *)
-
 (** {2 Table write path} *)
 
 module Table : sig

@@ -406,7 +406,6 @@ let open_writer ?(fsync_mode = Fsync_always) ?(lsn_floor = 0L) path =
 let set_crash w plan = w.crash_plan <- plan
 let size w = w.size
 let last_lsn w = Int64.pred w.next_lsn
-let fsync_mode w = w.mode
 
 let stats w =
   {

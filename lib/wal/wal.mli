@@ -37,7 +37,6 @@ module Codec : sig
   val add_i64 : Buffer.t -> int64 -> unit
   val add_string : Buffer.t -> string -> unit
   val add_bool : Buffer.t -> bool -> unit
-  val add_value : Buffer.t -> Value.t -> unit
   val add_rows : Buffer.t -> Tuple.t list -> unit
   val add_opt : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a option -> unit
   val add_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
@@ -46,7 +45,6 @@ module Codec : sig
   val get_string : cursor -> string
   val get_bool : cursor -> bool
   val get_byte : cursor -> int
-  val get_value : cursor -> Value.t
   val get_rows : cursor -> Tuple.t list
   val get_opt : (cursor -> 'a) -> cursor -> 'a option
   val get_list : (cursor -> 'a) -> cursor -> 'a list
@@ -117,5 +115,4 @@ val close : writer -> unit
 val set_crash : writer -> crash option -> unit
 val size : writer -> int
 val last_lsn : writer -> int64
-val fsync_mode : writer -> fsync_mode
 val stats : writer -> wstats

@@ -94,7 +94,7 @@ let protocol_requests () =
       Protocol.Query "SELECT 1";
       Protocol.Query "multi\nline\nsql;;";
       Protocol.Set ("timeout_ms", "50");
-      Protocol.Set ("dop", "default");
+      Protocol.Set ("work_mem", "default");
       Protocol.Prepare ("q1", "SELECT e.dno AS dno, COUNT(*) AS c FROM emp e\nGROUP BY e.dno");
       Protocol.Exec_prepared ("q1", []);
       Protocol.Exec_prepared
@@ -247,12 +247,14 @@ let server_session_vars () =
       | _ -> Alcotest.fail "SET default must succeed");
       expect_rows "restored default" (Client.query c fast_sql);
       expect_err "unknown variable" "bad-statement" (Client.set c "nope" "1");
-      expect_err "bad value" "bad-statement" (Client.set c "dop" "zero-ish");
+      expect_err "bad value" "bad-statement" (Client.set c "work_mem" "zero-ish");
       (match Client.set c "dop" "2" with
-      | Protocol.Result _ -> ()
-      | _ -> Alcotest.fail "SET dop must succeed");
-      expect_rows "parallel-eligible session still answers"
-        (Client.query c fast_sql);
+      | Protocol.Err { kind; detail } ->
+        Alcotest.(check string) "SET dop is rejected" "bad-statement" kind;
+        Alcotest.(check bool) "SET dop is an unknown variable" true
+          (contains detail "unknown session variable: dop")
+      | _ -> Alcotest.fail "SET dop must fail");
+      expect_rows "session still answers" (Client.query c fast_sql);
       Client.close c)
 
 let server_prepared () =

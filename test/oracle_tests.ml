@@ -2,21 +2,20 @@
    4 (spills) or 32; [Block.reference_eval] answers it once, and every leg
    must agree: (1) algorithms: each algorithm's plan validates, passes
    [Plan_check] and returns the oracle's multiset; (2) E6: estimated cost
-   paper <= greedy <= traditional; (3) dop: parallel plans reproduce the
-   serial bytes; (4) plan cache: a miss, then a hit identical to a fresh
-   optimization, and perturbed parameters give the substituted query's
-   oracle; (5) pool: a session of repeated templates per catalog through
-   [Service.Pool] at 2 and 4 workers; (6) writes: after appending copied
-   rows to a table the query reads, it is re-planned and gives the new
-   oracle; (7) views: each view without HAVING, materialized, answers its
-   own body before and after the append, unless the append made it stale.
-   No leg may leave a temp file.  A typed [Avq_error.Error] is an accepted
-   outcome; any other exception fails the case, naming the catalog,
-   complexity, seed, work_mem, leg, algorithm and dop, with the query.
+   paper <= greedy <= traditional; (3) plan cache: a miss, then a hit
+   identical to a fresh optimization, and perturbed parameters give the
+   substituted query's oracle; (4) pool: a session of repeated templates
+   per catalog through [Service.Pool] at 2 and 4 workers; (5) writes: after
+   appending copied rows to a table the query reads, it is re-planned and
+   gives the new oracle; (6) views: each view without HAVING, materialized,
+   answers its own body before and after the append, unless the append made
+   it stale.  No leg may leave a temp file.  A typed [Avq_error.Error] is an
+   accepted outcome; any other exception fails the case, naming the
+   catalog, complexity, seed, work_mem, leg and algorithm, with the query.
    QCHECK_SEED replays a run.  Suite [oracle] runs generated queries
    through every leg; the differential tests of the other suites (batch,
-   exchange, workload, plan_check, star, service, pool) are cases of this
-   harness too, declared at the end of this file. *)
+   workload, plan_check, star, service, pool) are cases of this harness
+   too, declared at the end of this file. *)
 
 type catalog = { cname : string; load : unit -> Catalog.t; shared : Catalog.t Lazy.t }
 
@@ -41,25 +40,24 @@ type case = { cat : catalog; label : string; seed : int; work_mem : int; q : Blo
 
 exception Failed of string
 
-let fail c ~leg ?algo ?dop fmt =
+let fail c ~leg ?algo fmt =
   Format.kasprintf
     (fun msg ->
       raise
         (Failed
-           (Format.asprintf "catalog %s, %s, seed %d, work_mem %d, leg %s%s%s: %s@.%a"
+           (Format.asprintf "catalog %s, %s, seed %d, work_mem %d, leg %s%s: %s@.%a"
               c.cat.cname c.label c.seed c.work_mem leg
               (match algo with Some a -> ", algorithm " ^ a | None -> "")
-              (match dop with Some d -> Printf.sprintf ", dop %d" d | None -> "")
               msg Block.pp c.q)))
     fmt
 
 (* [Some] the step's value, [None] when it failed with a typed error. *)
-let guard c ~leg ?algo ?dop f =
+let guard c ~leg ?algo f =
   match f () with
   | v -> Some v
   | exception Avq_error.Error _ -> None
   | exception (Failed _ as e) -> raise e
-  | exception e -> fail c ~leg ?algo ?dop "uncaught exception %s" (Printexc.to_string e)
+  | exception e -> fail c ~leg ?algo "uncaught exception %s" (Printexc.to_string e)
 
 let no_temps c ~leg cat =
   let n = Storage.live_temps (Catalog.storage cat) in
@@ -78,11 +76,10 @@ let perturb rng = function
   | Value.Float f -> Value.Float (f *. (0.95 +. (0.1 *. Rng.float rng)))
   | (Value.String _ | Value.Bool _ | Value.Date _) as v -> v
 
-(* ---- legs 1-3: algorithms, E6, dop ------------------------------------- *)
+(* ---- legs 1-2: algorithms, E6 ------------------------------------------ *)
 
-(* Algorithms often agree on a plan: it runs once, and only its first copy
-   is [distinct]. *)
-type plan = { algo : string; r : Optimizer.result; out : Relation.t; distinct : bool }
+(* Algorithms often agree on a plan: it runs once. *)
+type plan = { algo : string; r : Optimizer.result }
 
 let algorithms c ~oracle =
   let cat = Lazy.force c.cat.shared in
@@ -92,7 +89,7 @@ let algorithms c ~oracle =
     let r = Optimizer.optimize ~options:(options ~algorithm c.work_mem) cat c.q in
     let same p = Physical.to_string p.r.Optimizer.plan = Physical.to_string r.Optimizer.plan in
     match List.find_opt same acc with
-    | Some p -> { algo; r; out = p.out; distinct = false }
+    | Some _ -> { algo; r }
     | None ->
       (match Plan_check.check cat r.Optimizer.plan with
        | Ok () -> ()
@@ -100,7 +97,7 @@ let algorithms c ~oracle =
       let out = run cat ~work_mem:c.work_mem r.Optimizer.plan in
       if not (Relation.multiset_equal oracle out) then
         fail c ~leg ~algo "result differs from the oracle";
-      { algo; r; out; distinct = true }
+      { algo; r }
   in
   let plans =
     List.fold_left
@@ -122,52 +119,7 @@ let e6 c plans =
     if p > g +. 1e-6 then fail c ~leg:"E6" ~algo:"paper" "estimated cost %.1f > greedy %.1f" p g
   | _ -> ()
 
-(* The places an exchange can go, each a plan of its own: every maximal
-   morsel segment, with a hash group directly above it (whose partial
-   aggregation then runs on the workers).  [Exchange.parallelize] finds
-   only the topmost, and stops at joins.  Checked in isolation, no consumer
-   that reorders rows hides an exchange that does. *)
-let rec exchange_sites dop (p : Physical.t) =
-  match p with
-  | _ when Exchange.segment_ok p -> [ (p, Physical.Exchange { input = p; dop }) ]
-  | Physical.Hash_group g when Exchange.segment_ok g.Physical.input ->
-    [ (p, Physical.Hash_group { g with input = Physical.Exchange { input = g.input; dop } }) ]
-  | _ -> List.concat_map (exchange_sites dop) (Physical.inputs p)
-
-(* Each distinct plan under [Exchange.parallelize] at dop 1, 2 and 4, and
-   one exchange site of one of them at a dop the case draws. *)
-let dop c rng plans =
-  let cat = Lazy.force c.cat.shared in
-  let distinct = List.filter (fun p -> p.distinct) plans in
-  let check algo dop ~serial pplan =
-    ignore
-      (guard c ~leg:"dop" ~algo ~dop (fun () ->
-           let out = run cat ~work_mem:c.work_mem pplan in
-           if not (List.equal Tuple.equal (Relation.tuples (serial ())) (Relation.tuples out))
-           then
-             fail c ~leg:"dop" ~algo ~dop "output differs from the serial plan's:@.%a"
-               Physical.pp pplan))
-  in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun dop ->
-          let pplan = Exchange.parallelize ~dop p.r.Optimizer.plan in
-          if Exchange.has_exchange pplan then check p.algo dop ~serial:(fun () -> p.out) pplan)
-        [ 1; 2; 4 ])
-    distinct;
-  if distinct <> [] then begin
-    let p = Rng.pick rng distinct in
-    let dop = Rng.pick rng [ 1; 2; 4 ] in
-    match exchange_sites dop p.r.Optimizer.plan with
-    | [] -> ()
-    | sites ->
-      let site, psite = Rng.pick rng sites in
-      check p.algo dop ~serial:(fun () -> run cat ~work_mem:c.work_mem site) psite
-  end;
-  no_temps c ~leg:"dop" cat
-
-(* ---- legs 4, 6 and 7, on a fresh catalog: plan cache, writes, views --- *)
+(* ---- legs 3, 5 and 6, on a fresh catalog: plan cache, writes, views --- *)
 
 let service_config work_mem = { Service.default_config with work_mem }
 let source (p : Service.planned) = Service.source_label p.Service.source
@@ -293,16 +245,15 @@ let fresh_catalog_legs c rng ~fresh =
    others compare against its plans.  [Plan_cache] runs that leg alone on
    the shared catalog; [Fresh_catalog] runs it with the writes and views
    legs on a catalog of the case's own. *)
-type leg = E6 | Dop | Plan_cache | Fresh_catalog
+type leg = E6 | Plan_cache | Fresh_catalog
 
-let every_leg = [ E6; Dop; Fresh_catalog ]
+let every_leg = [ E6; Fresh_catalog ]
 
 let run_case ?(legs = every_leg) c =
   let rng = Rng.create ~seed:(c.seed + 1) in
   let plans = algorithms c ~oracle:(Block.reference_eval (Lazy.force c.cat.shared) c.q) in
   let paper = List.find_map (fun p -> if p.algo = "paper" then Some p.r else None) plans in
   if List.mem E6 legs then e6 c plans;
-  if List.mem Dop legs then dop c rng plans;
   if List.mem Plan_cache legs then begin
     let cat = Lazy.force c.cat.shared in
     let svc = Service.create ~config:(service_config c.work_mem) cat in
@@ -343,7 +294,7 @@ let named ~name cases =
   property ~speed_level:`Quick ~name ~count:1 (fun ~seed ~work_mem ->
       List.iter (fun (cat, label, q) -> run_case { cat; label; seed; work_mem; q }) cases)
 
-(* ---- leg 5: the pool ---------------------------------------------------- *)
+(* ---- leg 4: the pool ---------------------------------------------------- *)
 
 (* [calls] perturbed calls to [templates] generated templates, submitted
    at once to a cold service: every call equals its oracle, and
@@ -434,10 +385,6 @@ let diff_catalogs = [ tpcd_small; star_small; chain ]
 
 let executor_equals_reference =
   generated ~name:"executor = Logical.eval (random plans)" ~count:12 ~legs:[] diff_catalogs `Rich
-
-let parallel_equals_serial =
-  generated ~name:"parallel plan output = serial plan output (dop 1, 2, 4)" ~count:6 ~legs:[ Dop ]
-    diff_catalogs `Rich
 
 let cached_plan_identity =
   generated ~name:"cache-served plan = freshly optimized plan" ~count:20 ~legs:[ Plan_cache ]

@@ -236,7 +236,7 @@ let sysview_statements () =
   in
   Alcotest.(check bool) "at least the probe row" true
     (Relation.cardinality rel >= 1);
-  Alcotest.(check int) "all 19 columns" 19 (Schema.arity (Relation.schema rel));
+  Alcotest.(check int) "all 18 columns" 18 (Schema.arity (Relation.schema rel));
   (* total_ms (column 4) really is descending *)
   let totals =
     List.map

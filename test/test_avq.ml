@@ -10,7 +10,6 @@ let () =
       ("exec", Exec_tests.tests);
       ("iter_xsort", Iter_xsort_tests.tests);
       ("batch", Batch_tests.tests);
-      ("exchange", Exchange_tests.tests);
       ("cost", Cost_tests.tests);
       ("transform", Transform_tests.tests @ Transform_tests.rowid_tests);
       ("grouping", Grouping_tests.tests);
