@@ -56,7 +56,8 @@ let loadgen_config port conns mode =
   }
 
 let record ~name ~config (stats : Loadgen.stats) srv =
-  Bench_util.Json.record ~name ~config
+  Bench_util.Json.record ~name
+    ~config:(config @ [ ("cores", string_of_int (Domain.recommended_domain_count ())) ])
     ~extra:
       [
         ("ok", float_of_int stats.Loadgen.ok);

@@ -19,37 +19,32 @@ let top_spec (nq : N.nquery) =
 let base_item (alias, table) =
   { Dp.covers = [ alias ]; access = Dp.A_base { alias; table } }
 
-let optimize_view cat ~work_mem ~early ?(bushy = false) (v : N.nview) =
-  Dp.optimize cat ~work_mem
-    {
-      Dp.items = List.map base_item v.N.n_rels;
-      preds = v.N.n_preds;
-      group = Some (view_spec v);
-      early_grouping = early;
-      bushy;
-    }
-
-let derived_of_view (v : N.nview) (entry : Dp.entry) =
-  {
-    Dp.covers = List.map fst v.N.n_rels @ [ v.N.n_alias ];
-    access = Dp.A_derived { plan = entry.Dp.plan; out_key = Some v.N.n_keys };
-  }
-
-let view_items cat ~mode ~work_mem ?(bushy = false) (nq : N.nquery) =
-  let early = match mode with `Traditional -> false | `Greedy -> true in
-  List.map
-    (fun v -> derived_of_view v (optimize_view cat ~work_mem ~early ~bushy v))
-    nq.N.views
-  @ List.map base_item nq.N.rels
+let view_item cat ~work_mem ~early ~bushy (v : N.nview) =
+  let finals =
+    Dp.optimize cat ~work_mem
+      {
+        Dp.items = List.map base_item v.N.n_rels;
+        preds = v.N.n_preds;
+        group = Some (view_spec v);
+        early_grouping = early;
+        bushy;
+      }
+  in
+  let covers = List.map fst v.N.n_rels @ [ v.N.n_alias ] in
+  (List.hd finals, Dp.derived ~covers ~out_key:v.N.n_keys finals)
 
 let optimize cat ~work_mem ~mode ?(bushy = false) (nq : N.nquery) =
   let early = match mode with `Traditional -> false | `Greedy -> true in
-  let items = view_items cat ~mode ~work_mem ~bushy nq in
-  Dp.optimize cat ~work_mem
-    {
-      Dp.items;
-      preds = nq.N.preds;
-      group = (if nq.N.grouped then Some (top_spec nq) else None);
-      early_grouping = early;
-      bushy;
-    }
+  let items =
+    List.map (fun v -> snd (view_item cat ~work_mem ~early ~bushy v)) nq.N.views
+    @ List.map base_item nq.N.rels
+  in
+  List.hd
+    (Dp.optimize cat ~work_mem
+       {
+         Dp.items;
+         preds = nq.N.preds;
+         group = (if nq.N.grouped then Some (top_spec nq) else None);
+         early_grouping = early;
+         bushy;
+       })

@@ -1,6 +1,6 @@
 type access =
   | A_base of { alias : string; table : string }
-  | A_derived of { plan : Physical.t; out_key : Schema.column list option }
+  | A_derived of { plans : Physical.t list; out_key : Schema.column list option }
 
 type item = { covers : string list; access : access }
 
@@ -33,19 +33,54 @@ let rec is_prefix small big =
   | (q, n) :: s, (q', n') :: b ->
     String.equal q q' && String.equal n n' && is_prefix s b
 
+let take k l = List.filteri (fun i _ -> i < k) l
+
+(* Entries kept per subset, and finals exported to the caller. *)
+let max_entries = 8
+let max_finals = 2
+
+(* [a] makes [b] redundant in a subset's table: same grouping state, no
+   larger cost or pages, and an order at least as useful.  Rows are not
+   compared: the cost model estimates a join's rows differently per join
+   method, so a row criterion would keep, and prefer, a method for an
+   artifact of its estimate. *)
+let dominates a b =
+  tag_kind a.tag = tag_kind b.tag
+  && a.est.Cost_model.cost <= b.est.Cost_model.cost
+  && a.est.Cost_model.pages <= b.est.Cost_model.pages
+  && is_prefix (Physical.sorted_on b.plan) (Physical.sorted_on a.plan)
+
+(* Among a block's finals, which all have the same output, rows count too:
+   the enclosing block's cost grows with them. *)
+let dominates_final a b = dominates a b && a.est.Cost_model.rows <= b.est.Cost_model.rows
+
+let cheaper a b =
+  match Float.compare a.est.Cost_model.cost b.est.Cost_model.cost with
+  | 0 -> Float.compare a.est.Cost_model.rows b.est.Cost_model.rows
+  | c -> c
+
+(* [es] (non-dominated, cheapest first) with [e] added, or [None] when an
+   entry of [es] dominates [e]. *)
+let admit dominates e es =
+  if List.exists (fun e' -> dominates e' e) es then None
+  else Some (List.sort cheaper (e :: List.filter (fun e' -> not (dominates e e')) es))
+
+let hash_group (spec : Grouping.group_spec) ?(keys = spec.Grouping.gs_keys)
+    ?(aggs = spec.Grouping.gs_aggs) ?(having = spec.Grouping.gs_having) input =
+  Physical.Hash_group { input; agg_qual = spec.Grouping.gs_qual; keys; aggs; having }
+
+let derived ~covers ~out_key finals =
+  let plans = List.map (fun e -> e.plan) finals in
+  { covers; access = A_derived { plans; out_key = Some out_key } }
+
 (* ------------------------------------------------------------------ *)
 
 let finish_partial (spec : Grouping.group_spec) (c : Grouping.coalesce) plan =
   let having_inline = c.Grouping.post = [] in
   let g1 =
-    Physical.Hash_group
-      {
-        input = plan;
-        agg_qual = spec.Grouping.gs_qual;
-        keys = spec.Grouping.gs_keys;
-        aggs = c.Grouping.combine_aggs;
-        having = (if having_inline then spec.Grouping.gs_having else []);
-      }
+    hash_group spec ~aggs:c.Grouping.combine_aggs
+      ~having:(if having_inline then spec.Grouping.gs_having else [])
+      plan
   in
   if having_inline then g1
   else begin
@@ -159,29 +194,12 @@ let optimize cat ~work_mem input =
   (* ---- DP table ---- *)
   let table : (int, entry list) Hashtbl.t = Hashtbl.create 256 in
   let entries mask = Option.value ~default:[] (Hashtbl.find_opt table mask) in
-  let dominates a b =
-    tag_kind a.tag = tag_kind b.tag
-    && a.est.Cost_model.cost <= b.est.Cost_model.cost
-    && a.est.Cost_model.pages <= b.est.Cost_model.pages
-    && is_prefix (Physical.sorted_on b.plan) (Physical.sorted_on a.plan)
-  in
   let add_entry mask e =
-    let current = entries mask in
-    if List.exists (fun e' -> dominates e' e) current then ()
-    else begin
-      let kept = List.filter (fun e' -> not (dominates e e')) current in
-      let all =
-        List.sort
-          (fun a b -> Float.compare a.est.Cost_model.cost b.est.Cost_model.cost)
-          (e :: kept)
-      in
-      let rec take k = function
-        | [] -> []
-        | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-      in
+    match admit dominates e (entries mask) with
+    | None -> ()
+    | Some es ->
       Search_stats.count_entry ();
-      Hashtbl.replace table mask (take 8 all)
-    end
+      Hashtbl.replace table mask (take max_entries es)
   in
 
   (* ---- single-item access paths ---- *)
@@ -260,66 +278,52 @@ let optimize cat ~work_mem input =
     in
     seq :: index_plans
   in
-  let singleton_plans j =
-    let it = items.(j) in
-    let filters = leaf_filters j in
-    match it.access with
-    | A_base { alias; table } -> base_access_plans alias table filters
-    | A_derived d ->
-      let plan =
-        match filters with
-        | [] -> d.plan
-        | ps -> Physical.Filter { input = d.plan; pred = ps }
-      in
-      [ plan ]
+  (* Each item's access paths, as Ungrouped entries. *)
+  let singles =
+    Array.init n (fun j ->
+        let filters = leaf_filters j in
+        let plans =
+          match items.(j).access with
+          | A_base { alias; table } -> base_access_plans alias table filters
+          | A_derived { plans; _ } ->
+            if filters = [] then plans
+            else List.map (fun input -> Physical.Filter { input; pred = filters }) plans
+        in
+        List.map (fun plan -> { plan; est = estimate plan; tag = Ungrouped }) plans)
   in
 
   (* ---- greedy conservative group-by placement ---- *)
+  (* Each Ungrouped entry stays: its early-grouped variant is added beside
+     it, so the table keeps every plan the search without early grouping
+     keeps. *)
   let try_place_group mask =
     match input.group with
-    | None -> ()
-    | Some spec ->
-      if input.early_grouping && mask <> full_mask then begin
-        let cov = covered_aliases mask in
-        let rem_preds = remaining_preds mask in
-        let rem_items = remaining_items mask in
-        let consider e =
-          if tag_kind e.tag <> 0 then None
-          else begin
-            let candidates = ref [] in
-            if
-              Grouping.invariant_final_ok ~spec ~covered_aliases:cov
-                ~remaining_items:rem_items ~remaining_preds:rem_preds
-            then begin
-              Search_stats.count_group_plan ();
-              let plan =
-                Physical.Hash_group
-                  {
-                    input = e.plan;
-                    agg_qual = spec.Grouping.gs_qual;
-                    keys = spec.Grouping.gs_keys;
-                    aggs = spec.Grouping.gs_aggs;
-                    having = spec.Grouping.gs_having;
-                  }
-              in
-              candidates := { plan; est = estimate plan; tag = Grouped_final } :: !candidates
-            end;
-            (match Grouping.coalesce_at ~spec ~covered_aliases:cov ~remaining_preds:rem_preds with
-             | None -> ()
-             | Some c ->
-               Search_stats.count_group_plan ();
-               let plan =
-                 Physical.Hash_group
-                   {
-                     input = e.plan;
-                     agg_qual = spec.Grouping.gs_qual;
-                     keys = c.Grouping.partial_keys;
-                     aggs = c.Grouping.partial_aggs;
-                     having = [];
-                   }
-               in
-               candidates :=
-                 { plan; est = estimate plan; tag = Grouped_partial c } :: !candidates);
+    | Some spec when input.early_grouping && mask <> full_mask ->
+      let cov = covered_aliases mask in
+      let rem_preds = remaining_preds mask in
+      let final_ok =
+        Grouping.invariant_final_ok ~spec ~covered_aliases:cov
+          ~remaining_items:(remaining_items mask) ~remaining_preds:rem_preds
+      in
+      let partial =
+        Grouping.coalesce_at ~spec ~covered_aliases:cov ~remaining_preds:rem_preds
+      in
+      let grouped tag plan =
+        Search_stats.count_group_plan ();
+        { plan; est = estimate plan; tag }
+      in
+      List.iter
+        (fun e ->
+          if e.tag = Ungrouped then begin
+            let candidates =
+              (match partial with
+               | None -> []
+               | Some c ->
+                 [ grouped (Grouped_partial c)
+                     (hash_group spec ~keys:c.Grouping.partial_keys
+                        ~aggs:c.Grouping.partial_aggs ~having:[] e.plan) ])
+              @ if final_ok then [ grouped Grouped_final (hash_group spec e.plan) ] else []
+            in
             (* Conservative acceptance: strictly fewer rows, no wider, no
                more expensive — guarantees downstream cost can only drop. *)
             let acceptable g =
@@ -327,21 +331,16 @@ let optimize cat ~work_mem input =
               && g.est.Cost_model.width <= e.est.Cost_model.width
               && g.est.Cost_model.rows < e.est.Cost_model.rows
             in
-            let ok = List.filter acceptable !candidates in
             match
               List.sort
                 (fun a b -> Float.compare a.est.Cost_model.rows b.est.Cost_model.rows)
-                ok
+                (List.filter acceptable candidates)
             with
-            | [] -> None
-            | best :: _ -> Some best
-          end
-        in
-        let updated =
-          List.map (fun e -> match consider e with Some g -> g | None -> e) (entries mask)
-        in
-        Hashtbl.replace table mask updated
-      end
+            | [] -> ()
+            | best :: _ -> add_entry mask best
+          end)
+        (entries mask)
+    | _ -> ()
   in
 
   (* ---- join candidate generation ---- *)
@@ -351,8 +350,13 @@ let optimize cat ~work_mem input =
     | Physical.Seq_scan _ | Physical.Index_scan _ -> plan
     | p -> Physical.Materialize { input = p }
   in
-  let join_candidates ~left_aliases left_entry j right_plan app_preds =
-    let right_aliases = items.(j).covers in
+  (* [joins mask lmask rmask tag left right] adds to [mask] every join of
+     [left] (covering [lmask]) with [right] (covering [rmask]), tagged
+     [tag].  Index nested loops apply when [right] is a sequential scan,
+     i.e. an access path of a base item. *)
+  let joins mask lmask rmask =
+    let app = applicable_preds_mask lmask rmask in
+    let left_aliases = covered_aliases lmask and right_aliases = covered_aliases rmask in
     let in_aliases aliases (c : Schema.column) =
       List.exists (String.equal c.Schema.cqual) aliases
     in
@@ -367,70 +371,72 @@ let optimize cat ~work_mem input =
             when in_aliases left_aliases b && in_aliases right_aliases a ->
             (eq @ [ (b, a) ], res)
           | _ -> (eq, res @ [ p ]))
-        ([], []) app_preds
+        ([], []) app
     in
-    let out = ref [] in
-    let emit plan = out := plan :: !out in
-    (* Block nested loops: always available. *)
-    emit
-      (Physical.Block_nl_join
-         { left = left_entry.plan; right = rescannable right_plan; cond = app_preds });
-    if equi <> [] then begin
-      (* Hash join: build the smaller side. *)
-      let lest = left_entry.est and rest_ = estimate right_plan in
-      let build_side =
-        if rest_.Cost_model.pages <= lest.Cost_model.pages then `Right else `Left
+    let candidates left right =
+      (* Block nested loops: always available. *)
+      let bnl =
+        Physical.Block_nl_join
+          { left = left.plan; right = rescannable right.plan; cond = app }
       in
-      emit
-        (Physical.Hash_join
-           { left = left_entry.plan; right = right_plan; keys = equi; cond = residual;
-             build_side });
-      (* Sort-merge join: reuse existing orders where possible. *)
-      let lkeys = List.map fst equi and rkeys = List.map snd equi in
-      let lsorted =
-        if is_prefix (List.map key_name lkeys) (Physical.sorted_on left_entry.plan)
-        then left_entry.plan
-        else Physical.Sort { input = left_entry.plan; cols = lkeys; desc = [] }
-      in
-      let rsorted =
-        if is_prefix (List.map key_name rkeys) (Physical.sorted_on right_plan)
-        then right_plan
-        else Physical.Sort { input = right_plan; cols = rkeys; desc = [] }
-      in
-      emit
-        (Physical.Merge_join { left = lsorted; right = rsorted; keys = equi; cond = residual });
-      (* Index nested loops into a base right item (generated once, for the
-         sequential-scan variant of the right plan, to avoid duplicates). *)
-      (match items.(j).access, right_plan with
-       | A_base { alias; table }, Physical.Seq_scan _ ->
-         let tbl = Catalog.table_exn cat table in
-         List.iteri
-           (fun i (lcol, rcol) ->
-             if
-               String.equal rcol.Schema.cqual alias
-               && Catalog.index_on tbl rcol.Schema.cname <> None
-             then begin
-               let others =
-                 List.filteri (fun i' _ -> i' <> i) equi
-                 |> List.map reconstruct_eq
-               in
-               let cond = residual @ others @ leaf_filters j in
-               emit
-                 (Physical.Index_nl_join
-                    { left = left_entry.plan; alias; table; column = rcol.Schema.cname;
-                      outer_key = lcol; cond })
-             end)
-           equi
-       | (A_base _ | A_derived _), _ -> ())
-    end;
-    !out
+      if equi = [] then [ bnl ]
+      else begin
+        (* Hash join: build the smaller side. *)
+        let build_side =
+          if right.est.Cost_model.pages <= left.est.Cost_model.pages then `Right else `Left
+        in
+        let hash =
+          Physical.Hash_join
+            { left = left.plan; right = right.plan; keys = equi; cond = residual; build_side }
+        in
+        (* Sort-merge join: reuse existing orders where possible. *)
+        let sorted plan keys =
+          if is_prefix (List.map key_name keys) (Physical.sorted_on plan) then plan
+          else Physical.Sort { input = plan; cols = keys; desc = [] }
+        in
+        let merge =
+          Physical.Merge_join
+            { left = sorted left.plan (List.map fst equi);
+              right = sorted right.plan (List.map snd equi);
+              keys = equi; cond = residual }
+        in
+        (* Index nested loops (generated once, for the sequential-scan
+           access path, to avoid duplicates). *)
+        let index_nl =
+          match right.plan with
+          | Physical.Seq_scan { alias; table; filter } ->
+            let tbl = Catalog.table_exn cat table in
+            List.concat
+              (List.mapi
+                 (fun i (lcol, rcol) ->
+                   if
+                     String.equal rcol.Schema.cqual alias
+                     && Catalog.index_on tbl rcol.Schema.cname <> None
+                   then
+                     let others =
+                       List.filteri (fun i' _ -> i' <> i) equi |> List.map reconstruct_eq
+                     in
+                     [ Physical.Index_nl_join
+                         { left = left.plan; alias; table; column = rcol.Schema.cname;
+                           outer_key = lcol; cond = residual @ others @ filter } ]
+                   else [])
+                 equi)
+          | _ -> []
+        in
+        List.rev index_nl @ [ merge; hash; bnl ]
+      end
+    in
+    fun tag left right ->
+      List.iter
+        (fun plan ->
+          Search_stats.count_join_plan ();
+          add_entry mask { plan; est = estimate plan; tag })
+        (candidates left right)
   in
 
   (* ---- enumeration ---- *)
   for j = 0 to n - 1 do
-    List.iter
-      (fun plan -> add_entry (1 lsl j) { plan; est = estimate plan; tag = Ungrouped })
-      (singleton_plans j);
+    List.iter (add_entry (1 lsl j)) singles.(j);
     try_place_group (1 lsl j)
   done;
   for mask = 1 to full_mask do
@@ -451,20 +457,8 @@ let optimize cat ~work_mem input =
       List.iter
         (fun j ->
           let sub = mask lxor (1 lsl j) in
-          let app = applicable_preds sub j in
-          let left_aliases = covered_aliases sub in
-          List.iter
-            (fun left_entry ->
-              List.iter
-                (fun right_plan ->
-                  List.iter
-                    (fun plan ->
-                      Search_stats.count_join_plan ();
-                      add_entry mask
-                        { plan; est = estimate plan; tag = left_entry.tag })
-                    (join_candidates ~left_aliases left_entry j right_plan app))
-                (singleton_plans j))
-            (entries sub))
+          let join = joins mask sub (1 lsl j) in
+          List.iter (fun left -> List.iter (join left.tag left) singles.(j)) (entries sub))
         js;
       if input.bushy then begin
         (* Composite (bushy) inner sides: join two multi-item subplans.  The
@@ -476,86 +470,18 @@ let optimize cat ~work_mem input =
             if
               s land mask = s && comp <> 0
               && comp land (comp - 1) <> 0 (* right side has >= 2 items *)
+              && applicable_preds_mask s comp <> []
             then begin
-              let app = applicable_preds_mask s comp in
-              if app <> [] then
-                List.iter
-                  (fun left_entry ->
-                    List.iter
-                      (fun right_entry ->
-                        let tag =
-                          match left_entry.tag, right_entry.tag with
-                          | t, Ungrouped -> Some t
-                          | Ungrouped, t -> Some t
-                          | _, _ -> None
-                        in
-                        match tag with
-                        | None -> ()
-                        | Some tag ->
-                          let left_aliases = covered_aliases s in
-                          let right_aliases = covered_aliases comp in
-                          let in_aliases aliases (c : Schema.column) =
-                            List.exists (String.equal c.Schema.cqual) aliases
-                          in
-                          let equi, residual =
-                            List.fold_left
-                              (fun (eq, res) p ->
-                                match Expr.as_equijoin p with
-                                | Some (a, b)
-                                  when in_aliases left_aliases a
-                                       && in_aliases right_aliases b ->
-                                  (eq @ [ (a, b) ], res)
-                                | Some (a, b)
-                                  when in_aliases left_aliases b
-                                       && in_aliases right_aliases a ->
-                                  (eq @ [ (b, a) ], res)
-                                | _ -> (eq, res @ [ p ]))
-                              ([], []) app
-                          in
-                          let emit plan =
-                            Search_stats.count_join_plan ();
-                            add_entry mask { plan; est = estimate plan; tag }
-                          in
-                          emit
-                            (Physical.Block_nl_join
-                               { left = left_entry.plan;
-                                 right = Physical.Materialize { input = right_entry.plan };
-                                 cond = app });
-                          if equi <> [] then begin
-                            let lest = left_entry.est and rest_ = right_entry.est in
-                            let build_side =
-                              if rest_.Cost_model.pages <= lest.Cost_model.pages
-                              then `Right
-                              else `Left
-                            in
-                            emit
-                              (Physical.Hash_join
-                                 { left = left_entry.plan; right = right_entry.plan;
-                                   keys = equi; cond = residual; build_side });
-                            let lkeys = List.map fst equi
-                            and rkeys = List.map snd equi in
-                            let lsorted =
-                              if
-                                is_prefix (List.map key_name lkeys)
-                                  (Physical.sorted_on left_entry.plan)
-                              then left_entry.plan
-                              else Physical.Sort { input = left_entry.plan; cols = lkeys; desc = [] }
-                            in
-                            let rsorted =
-                              if
-                                is_prefix (List.map key_name rkeys)
-                                  (Physical.sorted_on right_entry.plan)
-                              then right_entry.plan
-                              else
-                                Physical.Sort { input = right_entry.plan; cols = rkeys; desc = [] }
-                            in
-                            emit
-                              (Physical.Merge_join
-                                 { left = lsorted; right = rsorted; keys = equi;
-                                   cond = residual })
-                          end)
-                      (entries comp))
-                  (entries s)
+              let join = joins mask s comp in
+              List.iter
+                (fun left ->
+                  List.iter
+                    (fun right ->
+                      match left.tag, right.tag with
+                      | t, Ungrouped | Ungrouped, t -> join t left right
+                      | _, _ -> ())
+                    (entries comp))
+                (entries s)
             end;
             subsets ((s - 1) land mask)
           end
@@ -577,16 +503,7 @@ let optimize cat ~work_mem input =
         let plan = finish_partial spec c e.plan in
         [ { plan; est = estimate plan; tag = Grouped_final } ]
       | Ungrouped ->
-        let hash =
-          Physical.Hash_group
-            {
-              input = e.plan;
-              agg_qual = spec.Grouping.gs_qual;
-              keys = spec.Grouping.gs_keys;
-              aggs = spec.Grouping.gs_aggs;
-              having = spec.Grouping.gs_having;
-            }
-        in
+        let hash = hash_group spec e.plan in
         let sorted_input =
           if
             is_prefix
@@ -611,8 +528,11 @@ let optimize cat ~work_mem input =
         ])
   in
   let finals = List.concat_map finalize (entries full_mask) in
+  (* Admitted last to first, so the first of tied finals ranks first. *)
   match
-    List.sort (fun a b -> Float.compare a.est.Cost_model.cost b.est.Cost_model.cost) finals
+    List.fold_right
+      (fun e acc -> Option.value ~default:acc (admit dominates_final e acc))
+      finals []
   with
   | [] -> invalid_arg "Dp.optimize: no plan found (disconnected input?)"
-  | best :: _ -> best
+  | frontier -> take max_finals frontier

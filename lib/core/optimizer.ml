@@ -24,58 +24,32 @@ let optimize ?(options = default_options) cat query =
   Search_stats.reset ();
   let nq = Normalize.normalize cat query in
   let nq = if options.predicate_moveround then Predicate_transfer.apply nq else nq in
-  let finish entry =
-    let plan = Physical.Project { input = entry.Dp.plan; cols = nq.Normalize.select } in
-    let plan =
-      match nq.Normalize.order with
-      | [] -> plan
-      | order ->
-        Physical.Sort
-          { input = plan; cols = List.map fst order; desc = List.map snd order }
-    in
-    let plan =
-      match nq.Normalize.limit with
-      | None -> plan
-      | Some count -> Physical.Limit { input = plan; count }
-    in
-    (plan, Cost_model.estimate cat ~work_mem:options.work_mem plan)
-  in
   let baseline mode =
-    finish
-      (Baseline.optimize cat ~work_mem:options.work_mem ~mode
-         ~bushy:options.paper.Paper_opt.bushy nq)
+    Baseline.optimize cat ~work_mem:options.work_mem ~mode
+      ~bushy:options.paper.Paper_opt.bushy nq
   in
-  let own, report =
+  let entry, report =
     match options.algorithm with
     | Traditional -> (baseline `Traditional, None)
     | Greedy_conservative -> (baseline `Greedy, None)
     | Paper ->
-      let r =
-        Paper_opt.optimize cat ~work_mem:options.work_mem ~opts:options.paper nq
-      in
-      (finish r.Paper_opt.best, Some r)
+      let r = Paper_opt.optimize cat ~work_mem:options.work_mem ~opts:options.paper nq in
+      (r.Paper_opt.best, Some r)
   in
-  let search = Search_stats.snapshot () in
-  (* Never worse (E6): the paper's plan is kept only if its estimate does
-     not exceed greedy's, and greedy's only if it does not exceed the
-     traditional one's.  Neither search contains the smaller algorithm's
-     plan exactly: a view plan that ties on cost may carry a larger row
-     estimate into the outer join.  The witnesses' effort is not counted
-     in [search]. *)
-  let witnesses =
-    match options.algorithm with
-    | Traditional -> []
-    | Greedy_conservative -> [ `Traditional ]
-    | Paper -> [ `Greedy; `Traditional ]
+  let plan = Physical.Project { input = entry.Dp.plan; cols = nq.Normalize.select } in
+  let plan =
+    match nq.Normalize.order with
+    | [] -> plan
+    | order ->
+      Physical.Sort { input = plan; cols = List.map fst order; desc = List.map snd order }
   in
-  let plan, est =
-    List.fold_left
-      (fun ((_, best) as acc) mode ->
-        let (_, e) as w = baseline mode in
-        if e.Cost_model.cost < best.Cost_model.cost then w else acc)
-      own witnesses
+  let plan =
+    match nq.Normalize.limit with
+    | None -> plan
+    | Some count -> Physical.Limit { input = plan; count }
   in
-  { plan; est; search; report;
+  { plan; est = Cost_model.estimate cat ~work_mem:options.work_mem plan;
+    search = Search_stats.snapshot (); report;
     time_ms = (Unix.gettimeofday () -. t0) *. 1000. }
 
 let run ?(options = default_options) cat query =

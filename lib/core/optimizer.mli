@@ -13,10 +13,10 @@
       pulled sets W_i, combined with the push-down heuristic.
 
     The produced plan is executable with {!Executor.run}.  Estimated costs
-    are ordered [Paper] <= [Greedy_conservative] <= [Traditional] (E6):
-    each algorithm also finishes the smaller algorithms' plans and keeps
-    the cheapest, since a view plan that ties on cost can carry a larger
-    row estimate into the outer join. *)
+    are ordered [Paper] <= [Greedy_conservative] <= [Traditional] (E6)
+    because each search contains the next smaller one: exactly for [Paper]
+    (see {!Paper_opt}), up to {!Dp}'s caps and pruning for
+    [Greedy_conservative] (see {!Baseline}).  One call runs one search. *)
 
 type algorithm = Traditional | Greedy_conservative | Paper
 
@@ -36,12 +36,8 @@ val default_options : options
 type result = {
   plan : Physical.t;  (** full plan, including the final projection *)
   est : Cost_model.est;
-  search : Search_stats.t;
-      (** effort counters of the algorithm's own search (the smaller
-          algorithms' plans it is compared against are not counted) *)
-  report : Paper_opt.report option;
-      (** phase details when [Paper] ran; its [best] is the search's own
-          pick, which a greedy or traditional plan may have beaten *)
+  search : Search_stats.t;  (** effort counters of the search *)
+  report : Paper_opt.report option;  (** phase details when [Paper] ran *)
   time_ms : float;  (** wall-clock optimization time of this call *)
 }
 

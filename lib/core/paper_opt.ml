@@ -26,9 +26,6 @@ type report = {
   combos_tried : int;
 }
 
-let base_item (alias, table) =
-  { Dp.covers = [ alias ]; access = Dp.A_base { alias; table } }
-
 let dedup_columns cols =
   List.fold_left
     (fun acc c -> if List.exists (Schema.column_equal c) acc then acc else acc @ [ c ])
@@ -75,7 +72,8 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
   in
 
   (* ---- phase 1: optimize Phi(V', W) ---- *)
-  let phase1 (v, vprime, _moved) w =
+  let key w = List.sort compare (List.map fst w) in
+  let pull_up v vprime w =
     let item_rels = vprime @ w in
     let item_aliases = List.map fst item_rels in
     let placeable p =
@@ -118,10 +116,10 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
       }
     in
     if w <> [] then Search_stats.count_pullup ();
-    let entry =
+    let finals =
       Dp.optimize cat ~work_mem
         {
-          Dp.items = List.map base_item item_rels;
+          Dp.items = List.map Baseline.base_item item_rels;
           preds = joins;
           group = Some spec;
           early_grouping = true;
@@ -129,12 +127,20 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
         }
     in
     let item =
-      {
-        Dp.covers = item_aliases @ [ v.N.n_alias ];
-        access = Dp.A_derived { plan = entry.Dp.plan; out_key = Some spec.Grouping.gs_keys };
-      }
+      Dp.derived ~covers:(item_aliases @ [ v.N.n_alias ]) ~out_key:spec.Grouping.gs_keys finals
     in
-    (entry, item, placed)
+    (List.hd finals, item, placed)
+  in
+  (* W = V - V' is the view itself, planned exactly as {!Baseline}'s greedy
+     mode plans it: the combination choosing it for every view is the
+     greedy plan's own search, so the paper's plan is never worse than
+     greedy's. *)
+  let phase1 (v, vprime, moved) w =
+    if key w = key moved then begin
+      let entry, item = Baseline.view_item cat ~work_mem ~early:true ~bushy:opts.bushy v in
+      (entry, item, v.N.n_preds)
+    end
+    else pull_up v vprime w
   in
 
   (* ---- candidate W sets per view ---- *)
@@ -168,11 +174,8 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
         (fun ms -> List.map (fun ps -> ms @ ps) pull_subsets)
         moved_subsets
     in
-    (* The traditional choice W = V - V' must always be present, and goes
-       first.  It is not an exact witness for the never-worse guarantee:
-       phase 1 groups it early, so [Optimizer] also finishes the
-       traditional plan itself. *)
-    let key w = List.sort compare (List.map fst w) in
+    (* The view itself, W = V - V', must always be present, and goes
+       first. *)
     let seen = Hashtbl.create 16 in
     let uniq =
       List.filter
@@ -185,11 +188,7 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
           end)
         (moved :: candidates)
     in
-    let rec take k = function
-      | [] -> []
-      | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-    in
-    take opts.max_w_sets uniq
+    List.filteri (fun i _ -> i < opts.max_w_sets) uniq
   in
 
   (* ---- phase 2: enumerate consistent W choices ---- *)
@@ -199,7 +198,7 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
         let sets = w_sets info in
         let cache = Hashtbl.create 8 in
         let get w =
-          let k = List.sort compare (List.map fst w) in
+          let k = key w in
           match Hashtbl.find_opt cache k with
           | Some r -> r
           | None ->
@@ -236,21 +235,7 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
           if disjoint then combos ((info, w, get) :: acc_choices) rest else [])
         sets
   in
-  let all_combos =
-    let rec take k = function
-      | [] -> []
-      | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-    in
-    take opts.max_combos (combos [] per_view)
-  in
-  let top_spec =
-    {
-      Grouping.gs_qual = "";
-      gs_keys = nq.N.keys;
-      gs_aggs = nq.N.aggs;
-      gs_having = nq.N.having;
-    }
-  in
+  let all_combos = List.filteri (fun i _ -> i < opts.max_combos) (combos [] per_view) in
   let eval_combo choices =
     let derived = List.map (fun (_, w, get) -> let _, item, _ = get w in item) choices in
     let consumed =
@@ -266,14 +251,15 @@ let optimize cat ~work_mem ~opts (nq : N.nquery) =
     in
     let preds2 = List.filter (fun p -> not (List.memq p consumed)) all_preds in
     let entry =
-      Dp.optimize cat ~work_mem
-        {
-          Dp.items = derived @ List.map base_item rest_rels;
-          preds = preds2;
-          group = (if nq.N.grouped then Some top_spec else None);
-          early_grouping = true;
-          bushy = opts.bushy;
-        }
+      List.hd
+        (Dp.optimize cat ~work_mem
+           {
+             Dp.items = derived @ List.map Baseline.base_item rest_rels;
+             preds = preds2;
+             group = (if nq.N.grouped then Some (Baseline.top_spec nq) else None);
+             early_grouping = true;
+             bushy = opts.bushy;
+           })
     in
     (entry, List.map (fun ((v, _, _), w, _) -> (v.N.n_alias, w)) choices)
   in

@@ -15,9 +15,13 @@
       joining the pulled-up views with the remaining B' relations, placing
       the outer group-by G_0 with the greedy conservative heuristic.
 
-    The search space contains the traditional strategy (W_i = V_i - V_i'),
-    so the chosen plan is never worse than {!Baseline}'s — in estimated
-    cost, which is the sense of the paper's guarantee. *)
+    The candidate W_i = V_i - V_i' is the view itself, planned exactly as
+    {!Baseline}'s greedy mode plans it, and the combination choosing it for
+    every view is evaluated first and kept on ties: that combination's
+    phase 2 is the greedy search, so the chosen plan's estimated cost never
+    exceeds {!Baseline}'s [`Greedy] plan's; {!Baseline} says how far the
+    greedy search contains the traditional one.  This is the sense of the
+    paper's guarantee: relative to the cost model, not to measured IO. *)
 
 type options = {
   k_pullup : int;  (** max relations pulled through a view beyond V - V' *)
@@ -33,7 +37,7 @@ val default_options : options
 type pulled = {
   p_view : string;  (** view alias *)
   p_w : (string * string) list;  (** the pulled set W (alias, table) *)
-  p_entry : Dp.entry;  (** optimized Φ(V', W) *)
+  p_entry : Dp.entry;  (** optimized Φ(V', W); for W = V - V', the view itself *)
 }
 
 type report = {

@@ -49,7 +49,7 @@ let dp_single_relation () =
       bushy = false;
     }
   in
-  let entry = Dp.optimize cat ~work_mem:32 input in
+  let entry = List.hd (Dp.optimize cat ~work_mem:32 input) in
   Alcotest.(check bool) "positive cost" true (entry.Dp.est.Cost_model.cost > 0.);
   let rel = Executor.run (Exec_ctx.create cat) entry.Dp.plan in
   Relation.iter

@@ -35,6 +35,7 @@ let star days ~products ~stores ~rows_per_day =
 let tpcd_small = tpcd 50 ~orders:3 ~lines:3 ~parts:30 ~suppliers:8
 let star_small = star 15 ~products:25 ~stores:5 ~rows_per_day:25
 let chain = catalog "chain(250x4)" (fun () -> Chain.load ~rows:250 ~n:4 ())
+let tpcd_tiny = tpcd 60 ~orders:3 ~lines:3 ~parts:40 ~suppliers:10
 
 type case = { cat : catalog; label : string; seed : int; work_mem : int; q : Block.query }
 
@@ -338,7 +339,19 @@ let pool_leg ~seed ~work_mem ~workers ~templates ~calls cat =
 
 (* ---- the suites' cases ------------------------------------------------- *)
 
-(* Every leg on generated queries, per catalog and complexity. *)
+(* A generated rich query that breaks the ordering paper <= greedy <=
+   traditional when a view exports only its cheapest final, or when
+   pull-up's W = V - V' candidate is not the view itself.  Through the E6
+   leg, at the work_mem the run draws. *)
+let ordering_case (cat, seed) =
+  property ~speed_level:`Quick ~count:1
+    ~name:(Printf.sprintf "E6 ordering: %s rich seed %d" cat.cname seed)
+    (fun ~seed:_ ~work_mem ->
+      let q = Query_gen.generate ~complexity:`Rich (Rng.create ~seed) (Lazy.force cat.shared) in
+      run_case ~legs:[ E6 ] { cat; label = "rich"; seed; work_mem; q })
+
+(* Every leg on generated queries, per catalog and complexity, and the
+   ordering regressions. *)
 let tests =
   [
     every_leg_on tpcd_small `Simple ~count:30;
@@ -348,12 +361,13 @@ let tests =
     every_leg_on chain `Simple ~count:12;
     every_leg_on chain `Rich ~count:12;
   ]
+  @ List.map ordering_case
+      [ (tpcd_small, 143); (tpcd_small, 899); (tpcd_small, 1464); (tpcd_tiny, 782);
+        (tpcd_tiny, 1318); (star_small, 1440) ]
 
 (* The other suites' differential cases: each is the inputs an earlier
    per-suite loop ran, through the legs it checked (named queries through
    every leg). *)
-
-let tpcd_tiny = tpcd 60 ~orders:3 ~lines:3 ~parts:40 ~suppliers:10
 
 let tpcd_120 =
   catalog "tpcd(120 customers)" (fun () ->
